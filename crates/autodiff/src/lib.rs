@@ -57,7 +57,6 @@ pub mod segments;
 pub use activation::Activation;
 pub use adam::Adam;
 pub use graph::{Graph, VarId};
-pub use kernels::{kernel_mode, set_kernel_mode, KernelMode};
 pub use segments::Segments;
 
 /// Errors produced while assembling or executing a graph.

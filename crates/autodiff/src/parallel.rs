@@ -22,11 +22,6 @@
 //! Below [`PAR_THRESHOLD`] elements the sequential path is used; dispatch
 //! overhead dominates for small tensors.
 //!
-//! [`ExecMode::Spawn`] preserves the previous executor (a scoped
-//! spawn-per-op forward with sequential reductions elsewhere) purely so
-//! the benchmark suite can measure the pool against it; production code
-//! always runs [`ExecMode::Pool`].
-//!
 //! # Observability
 //!
 //! When `dgr_obs::enabled()` is on, the pool records `pool.jobs_dispatched`,
@@ -56,7 +51,7 @@ struct PoolMetrics {
     /// chunk completing (the pool's busy time).
     busy_ns: &'static dgr_obs::Counter,
     /// Kernel calls that took the sequential fallback (below
-    /// [`PAR_THRESHOLD`], single-threaded, or legacy executor).
+    /// [`PAR_THRESHOLD`] or single-threaded).
     seq_fallbacks: &'static dgr_obs::Counter,
     /// Distribution of per-dispatch wall times, in nanoseconds.
     dispatch_ns: &'static dgr_obs::Histogram,
@@ -113,34 +108,6 @@ pub fn num_threads() -> usize {
 /// Overrides the worker-thread count (0 restores the default).
 pub fn set_num_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// Which executor dense kernels dispatch through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// The persistent worker pool (default).
-    Pool,
-    /// The pre-pool executor: scoped spawn-per-op for the forward map /
-    /// scatter kernels, sequential everywhere else. Kept only as the
-    /// benchmark baseline.
-    Spawn,
-}
-
-static EXEC_MODE: AtomicUsize = AtomicUsize::new(0);
-
-/// Selects the executor ([`ExecMode::Pool`] by default). Benchmarks use
-/// this to measure the pool against the legacy spawn-per-op executor.
-pub fn set_exec_mode(mode: ExecMode) {
-    EXEC_MODE.store(mode as usize, Ordering::Relaxed);
-}
-
-/// The currently selected executor.
-pub fn exec_mode() -> ExecMode {
-    if EXEC_MODE.load(Ordering::Relaxed) == ExecMode::Spawn as usize {
-        ExecMode::Spawn
-    } else {
-        ExecMode::Pool
-    }
 }
 
 // --- the persistent pool ---------------------------------------------------
@@ -331,9 +298,8 @@ impl<T> SendPtr<T> {
 
 /// Splits `0..num_items` into [`num_threads`] contiguous chunks and runs
 /// `f(range)` for each on the pool. Falls back to one sequential
-/// `f(0..num_items)` call when `total_elems` is below [`PAR_THRESHOLD`],
-/// a single thread is configured, or the legacy spawn executor is
-/// selected (whose backward pass was sequential).
+/// `f(0..num_items)` call when `total_elems` is below [`PAR_THRESHOLD`]
+/// or a single thread is configured.
 ///
 /// `f` must write only to locations owned by its item range, so results
 /// are independent of which worker runs which chunk.
@@ -345,7 +311,7 @@ where
     if num_items == 0 {
         return;
     }
-    if total_elems < PAR_THRESHOLD || threads <= 1 || exec_mode() == ExecMode::Spawn {
+    if total_elems < PAR_THRESHOLD || threads <= 1 {
         pool_metrics().seq_fallbacks.add(1);
         f(0..num_items);
         return;
@@ -363,34 +329,10 @@ where
 /// skeleton behind the chunked slice kernels in [`crate::kernels`].
 ///
 /// Below [`PAR_THRESHOLD`] elements (or with one thread) the whole range
-/// is processed sequentially; in [`ExecMode::Spawn`] a scoped thread is
-/// spawned per chunk (the legacy executor the benches baseline against);
-/// otherwise chunks run on the worker pool. `f` must write only to
-/// locations owned by its range, so placement is independent of which
-/// worker executes a chunk (bit-stable across thread counts for
-/// elementwise kernels).
-/// Splits a physical range over instance-major batched storage with
-/// logical per-instance length `n` into per-instance pieces, calling
-/// `f(b, logical_range)` for each instance the range touches, in
-/// ascending order. Lets one parallel dispatch cover all `B` instances
-/// of an op whose per-element math is independent of the split (the
-/// kernel still sees one instance at a time).
-#[inline]
-pub(crate) fn split_batch(
-    r: std::ops::Range<usize>,
-    n: usize,
-    mut f: impl FnMut(usize, std::ops::Range<usize>),
-) {
-    debug_assert!(n > 0 || r.is_empty());
-    let mut i = r.start;
-    while i < r.end {
-        let b = i / n;
-        let end = ((b + 1) * n).min(r.end);
-        f(b, i - b * n..end - b * n);
-        i = end;
-    }
-}
-
+/// is processed sequentially; otherwise chunks run on the worker pool.
+/// `f` must write only to locations owned by its range, so placement is
+/// independent of which worker executes a chunk (bit-stable across
+/// thread counts for elementwise kernels).
 pub(crate) fn par_apply<F>(len: usize, f: F)
 where
     F: Fn(Range<usize>) + Sync,
@@ -402,18 +344,6 @@ where
         return;
     }
     let chunk = len.div_ceil(threads);
-    if exec_mode() == ExecMode::Spawn {
-        std::thread::scope(|scope| {
-            let mut lo = 0;
-            while lo < len {
-                let hi = (lo + chunk).min(len);
-                let f = &f;
-                scope.spawn(move || f(lo..hi));
-                lo = hi;
-            }
-        });
-        return;
-    }
     let chunks = len.div_ceil(chunk);
     run_chunks(chunks, &|c| {
         let lo = c * chunk;
@@ -438,9 +368,6 @@ where
             f(i, v);
         }
         return;
-    }
-    if exec_mode() == ExecMode::Spawn {
-        return spawn_map_mut(out, &f, threads);
     }
     let len = out.len();
     let chunk = len.div_ceil(threads);
@@ -469,15 +396,14 @@ where
 /// result lands in its own output slot, so — like the pure maps — the
 /// returned vector is **bit-identical for any thread count**; no
 /// reduction is involved. Falls back to a sequential map below `min_par`
-/// items, when one thread is configured, or under the legacy spawn
-/// executor.
+/// items or when one thread is configured.
 pub fn par_indexed<T, F>(n: usize, min_par: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     let threads = num_threads();
-    if n < min_par || threads <= 1 || exec_mode() == ExecMode::Spawn {
+    if n < min_par || threads <= 1 {
         pool_metrics().seq_fallbacks.add(1);
         return (0..n).map(f).collect();
     }
@@ -498,25 +424,6 @@ where
     out.into_iter()
         .map(|v| v.expect("every chunk completed"))
         .collect()
-}
-
-/// The pre-pool executor: a scoped spawn per chunk, per op. Benchmark
-/// baseline only.
-fn spawn_map_mut<F>(out: &mut [f32], f: &F, threads: usize)
-where
-    F: Fn(usize, &mut f32) + Sync,
-{
-    let chunk = out.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (c, slice) in out.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                let base = c * chunk;
-                for (i, v) in slice.iter_mut().enumerate() {
-                    f(base + i, v);
-                }
-            });
-        }
-    });
 }
 
 /// Reusable per-chunk partial buffers for scatter-add reductions, kept
@@ -589,9 +496,6 @@ pub fn par_scatter_add(out: &mut [f32], idx: &[u32], vals: &[f32]) {
         crate::kernels::scatter_add(out, idx, vals);
         return;
     }
-    if exec_mode() == ExecMode::Spawn {
-        return spawn_scatter_add(out, idx, vals, threads);
-    }
     let chunk = idx.len().div_ceil(threads);
     let chunks = idx.len().div_ceil(chunk);
     let mut partials = take_partials(chunks, out.len());
@@ -607,40 +511,6 @@ pub fn par_scatter_add(out: &mut [f32], idx: &[u32], vals: &[f32]) {
         crate::kernels::axpy(out, part, 1.0);
     }
     return_partials(partials);
-}
-
-/// The pre-pool scatter executor (scoped spawns, fresh partial buffers).
-/// Benchmark baseline only.
-fn spawn_scatter_add(out: &mut [f32], idx: &[u32], vals: &[f32], threads: usize) {
-    let chunk = idx.len().div_ceil(threads);
-    let mut partials: Vec<Vec<f32>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for c in 0..threads {
-            let lo = c * chunk;
-            if lo >= idx.len() {
-                break;
-            }
-            let hi = (lo + chunk).min(idx.len());
-            let (idx, vals) = (&idx[lo..hi], &vals[lo..hi]);
-            let len = out.len();
-            handles.push(scope.spawn(move || {
-                let mut part = vec![0.0f32; len];
-                for (&i, &v) in idx.iter().zip(vals) {
-                    part[i as usize] += v;
-                }
-                part
-            }));
-        }
-        for h in handles {
-            partials.push(h.join().expect("scatter worker panicked"));
-        }
-    });
-    for part in partials {
-        for (o, p) in out.iter_mut().zip(part) {
-            *o += p;
-        }
-    }
 }
 
 /// Parallel `dst[i] += k * src[i]` — the backward kernel of the linear
@@ -661,14 +531,14 @@ pub fn par_axpy(dst: &mut [f32], src: &[f32], k: f32) {
 
 /// Parallel sum with per-chunk partials merged in chunk order
 /// (bit-reproducible for a fixed thread count). Per-chunk bodies use the
-/// mode-dispatched [`crate::kernels::sum`].
+/// lane-striped [`crate::kernels::sum`].
 pub fn par_sum(x: &[f32]) -> f32 {
     par_reduce(x.len(), |lo, hi| crate::kernels::sum(&x[lo..hi]))
 }
 
 /// Parallel dot product against a constant weight vector, chunk partials
 /// merged in chunk order (bit-reproducible for a fixed thread count).
-/// Per-chunk bodies use the mode-dispatched [`crate::kernels::dot`].
+/// Per-chunk bodies use the lane-striped [`crate::kernels::dot`].
 ///
 /// # Panics
 ///
@@ -680,143 +550,6 @@ pub fn par_dot(x: &[f32], w: &[f32]) -> f32 {
     })
 }
 
-/// Batched [`par_sum`]: lane `b` of `out` receives exactly what
-/// `par_sum` would return for that lane alone (identical per-lane chunk
-/// boundaries and fold order), but all `batch × chunks` partials go out
-/// in a single pool dispatch.
-pub fn par_sum_batched(x: &[f32], batch: usize, out: &mut [f32]) {
-    assert_eq!(out.len(), batch, "one output per lane");
-    if batch == 1 {
-        out[0] = par_sum(x);
-        return;
-    }
-    let n = x.len() / batch;
-    par_reduce_batched(n, batch, out, |b, lo, hi| {
-        crate::kernels::sum(&x[b * n + lo..b * n + hi])
-    });
-}
-
-/// Batched [`par_dot`] against a shared constant weight vector; same
-/// per-lane bit-identity contract as [`par_sum_batched`].
-///
-/// # Panics
-///
-/// Panics if `x.len() != w.len() * batch`.
-pub fn par_dot_batched(x: &[f32], w: &[f32], batch: usize, out: &mut [f32]) {
-    assert_eq!(out.len(), batch, "one output per lane");
-    assert_eq!(x.len(), w.len() * batch, "dot operands disagree");
-    if batch == 1 {
-        out[0] = par_dot(x, w);
-        return;
-    }
-    let n = w.len();
-    par_reduce_batched(n, batch, out, |b, lo, hi| {
-        crate::kernels::dot(&x[b * n + lo..b * n + hi], &w[lo..hi])
-    });
-}
-
-/// Batched reduction skeleton behind the `*_batched` wrappers. Each
-/// lane's chunk layout replicates what [`par_reduce`] would use for a
-/// single lane of logical length `n`, so per-lane results are
-/// bit-identical to `batch` separate calls.
-fn par_reduce_batched<F>(n: usize, batch: usize, out: &mut [f32], partial: F)
-where
-    F: Fn(usize, usize, usize) -> f32 + Sync,
-{
-    let threads = num_threads();
-    let pooled = threads > 1 && exec_mode() == ExecMode::Pool;
-    let single_chunk = n < PAR_THRESHOLD || !pooled;
-    if single_chunk {
-        if pooled && n * batch >= PAR_THRESHOLD {
-            // Small lanes but a big batch: one dispatch, one lane per task.
-            let outp = SendPtr(out.as_mut_ptr());
-            run_chunks(batch, &|b| {
-                // SAFETY: each task exclusively owns out[b].
-                unsafe { *outp.get().add(b) = partial(b, 0, n) };
-            });
-        } else {
-            pool_metrics().seq_fallbacks.add(1);
-            for (b, o) in out.iter_mut().enumerate() {
-                *o = partial(b, 0, n);
-            }
-        }
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    let chunks = n.div_ceil(chunk);
-    let mut partials = vec![0.0f32; batch * chunks];
-    let parts = SendPtr(partials.as_mut_ptr());
-    run_chunks(batch * chunks, &|t| {
-        let (b, c) = (t / chunks, t % chunks);
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(n);
-        // SAFETY: task t exclusively owns partials[t].
-        unsafe { *parts.get().add(t) = partial(b, lo, hi) };
-    });
-    for (b, o) in out.iter_mut().enumerate() {
-        *o = partials[b * chunks..(b + 1) * chunks].iter().sum();
-    }
-}
-
-/// Batched [`par_scatter_add`] over instance-major lanes sharing one
-/// index table: lane `b` of `out` ends up exactly as if
-/// `par_scatter_add` had run on that lane alone (same per-lane chunk
-/// layout and chunk-order merge), with all lanes' chunk work — and the
-/// per-lane merges, which write disjoint lanes — batched into single
-/// pool dispatches.
-pub fn par_scatter_add_batched(out: &mut [f32], idx: &[u32], vals: &[f32], batch: usize) {
-    if batch == 1 {
-        return par_scatter_add(out, idx, vals);
-    }
-    let n_out = out.len() / batch;
-    let n = idx.len();
-    assert_eq!(vals.len(), n * batch, "scatter operands disagree");
-    let threads = num_threads();
-    if threads <= 1 || exec_mode() == ExecMode::Spawn {
-        for b in 0..batch {
-            par_scatter_add(
-                &mut out[b * n_out..(b + 1) * n_out],
-                idx,
-                &vals[b * n..(b + 1) * n],
-            );
-        }
-        return;
-    }
-    if n < PAR_THRESHOLD || n_out * threads > n * 4 {
-        // Per-lane sequential scatter; lanes are disjoint, so they can
-        // still fan out one-per-task in a single dispatch.
-        let outp = SendPtr(out.as_mut_ptr());
-        run_chunks(batch, &|b| {
-            // SAFETY: each task exclusively owns lane b.
-            let o = unsafe { std::slice::from_raw_parts_mut(outp.get().add(b * n_out), n_out) };
-            crate::kernels::scatter_add(o, idx, &vals[b * n..(b + 1) * n]);
-        });
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    let chunks = n.div_ceil(chunk);
-    let mut partials = take_partials(batch * chunks, n_out);
-    let parts = SendPtr(partials.as_mut_ptr());
-    run_chunks(batch * chunks, &move |t| {
-        let (b, c) = (t / chunks, t % chunks);
-        // SAFETY: task t exclusively owns partials[t].
-        let part: &mut Vec<f32> = unsafe { &mut *parts.get().add(t) };
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(n);
-        crate::kernels::scatter_add(part, &idx[lo..hi], &vals[b * n + lo..b * n + hi]);
-    });
-    let outp = SendPtr(out.as_mut_ptr());
-    let partials_ref = &partials;
-    run_chunks(batch, &move |b| {
-        // SAFETY: each task exclusively owns lane b.
-        let o = unsafe { std::slice::from_raw_parts_mut(outp.get().add(b * n_out), n_out) };
-        for part in &partials_ref[b * chunks..(b + 1) * chunks] {
-            crate::kernels::axpy(o, part, 1.0);
-        }
-    });
-    return_partials(partials);
-}
-
 /// Chunked reduction skeleton: `partial(lo, hi)` per chunk, partials
 /// summed in chunk order.
 fn par_reduce<F>(len: usize, partial: F) -> f32
@@ -824,7 +557,7 @@ where
     F: Fn(usize, usize) -> f32 + Sync,
 {
     let threads = num_threads();
-    if len < PAR_THRESHOLD || threads <= 1 || exec_mode() == ExecMode::Spawn {
+    if len < PAR_THRESHOLD || threads <= 1 {
         pool_metrics().seq_fallbacks.add(1);
         return partial(0, len);
     }
@@ -921,9 +654,8 @@ mod tests {
 
     #[test]
     fn pool_survives_many_small_dispatches() {
-        // thousands of dispatches through the persistent pool: the
-        // spawn-per-op executor this replaces would create ~8000 threads
-        // here; the pool must not leak or deadlock.
+        // thousands of dispatches through the persistent pool: it must
+        // not leak threads or deadlock.
         set_num_threads(4);
         let mut out = vec![0.0f32; PAR_THRESHOLD + 1];
         for round in 0..2000 {
@@ -982,22 +714,5 @@ mod tests {
     fn par_indexed_respects_min_par_and_empty() {
         assert!(par_indexed(0, 1, |i| i).is_empty());
         assert_eq!(par_indexed(5, 100, |i| i * 3), vec![0, 3, 6, 9, 12]);
-    }
-
-    #[test]
-    fn spawn_mode_matches_pool_mode() {
-        let n = 100_000;
-        let idx: Vec<u32> = (0..n).map(|i| ((i * 13) % 777) as u32).collect();
-        let vals: Vec<f32> = (0..n).map(|i| (i % 9) as f32).collect();
-        set_num_threads(4);
-        let mut pool_out = vec![0.0f32; 777];
-        par_scatter_add(&mut pool_out, &idx, &vals);
-        set_exec_mode(ExecMode::Spawn);
-        let mut spawn_out = vec![0.0f32; 777];
-        par_scatter_add(&mut spawn_out, &idx, &vals);
-        set_exec_mode(ExecMode::Pool);
-        set_num_threads(0);
-        // identical chunking and merge order → bit-identical results
-        assert_eq!(pool_out, spawn_out);
     }
 }

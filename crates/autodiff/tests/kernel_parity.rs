@@ -1,30 +1,56 @@
-//! Property tests: the chunked 8-lane kernels agree with their scalar
-//! references on adversarial segment layouts — empty segments, runs of
-//! singletons, and huge segments — within a reassociation tolerance on
-//! the order of 1 ULP per accumulated element. Elementwise and
-//! index-driven kernels must match bit-for-bit.
+//! Property tests: the chunked 8-lane kernels agree with sequential
+//! scalar reference loops on adversarial segment layouts — empty
+//! segments, runs of singletons, and huge segments — within a
+//! reassociation tolerance on the order of 1 ULP per accumulated
+//! element. Elementwise and index-driven kernels must match bit-for-bit.
 //!
-//! Mode flips go through the process-global kernel mode, so every test
-//! in this binary serializes on `MODE_LOCK` and restores the ambient
-//! mode (which honours `DGR_KERNELS`) before releasing it.
-
-use std::sync::Mutex;
+//! The scalar loops below are the reference implementations; the crate
+//! itself ships only the chunked kernels.
 
 use dgr_autodiff::kernels;
-use dgr_autodiff::{kernel_mode, set_kernel_mode, KernelMode};
 use proptest::prelude::*;
 
-static MODE_LOCK: Mutex<()> = Mutex::new(());
+/// Sequential reference sum.
+fn sum_scalar(x: &[f32]) -> f32 {
+    x.iter().sum()
+}
 
-/// Runs `f` under the given kernel mode, holding the lock so parallel
-/// tests in this binary cannot observe the flip.
-fn with_mode<T>(mode: KernelMode, f: impl FnOnce() -> T) -> T {
-    let _guard = MODE_LOCK.lock().unwrap();
-    let prev = kernel_mode();
-    set_kernel_mode(mode);
-    let out = f();
-    set_kernel_mode(prev);
-    out
+/// Sequential reference dot product.
+fn dot_scalar(x: &[f32], w: &[f32]) -> f32 {
+    x.iter().zip(w).map(|(a, b)| a * b).sum()
+}
+
+/// Sequential reference softmax (max, exp-sum, rescale).
+fn softmax_into_scalar(x: &[f32], out: &mut [f32]) {
+    if x.is_empty() {
+        return;
+    }
+    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for (o, &v) in out.iter_mut().zip(x) {
+        let e = (v - max).exp();
+        *o = e;
+        sum += e;
+    }
+    let inv = 1.0 / sum;
+    for o in out.iter_mut() {
+        *o *= inv;
+    }
+}
+
+/// Sequential reference segmented-softmax backward for one segment.
+fn seg_softmax_bwd_scalar(p: &[f32], gout: &[f32], gx: &mut [f32]) {
+    let d = dot_scalar(gout, p);
+    for ((g, &pv), &go) in gx.iter_mut().zip(p).zip(gout) {
+        *g += pv * (go - d);
+    }
+}
+
+/// Sequential reference scatter-add.
+fn scatter_add_scalar(out: &mut [f32], idx: &[u32], x: &[f32]) {
+    for (&i, &v) in idx.iter().zip(x) {
+        out[i as usize] += v;
+    }
 }
 
 /// Distance in representable f32 steps (monotonic bit mapping), `u64`
@@ -85,8 +111,8 @@ proptest! {
             let xs = &x[at..at + len];
             let ws = &w[at..at + len];
             at += len;
-            let (s0, d0) = (kernels::sum_scalar(xs), kernels::dot_scalar(xs, ws));
-            let (s1, d1) = (kernels::sum_chunked(xs), kernels::dot_chunked(xs, ws));
+            let (s0, d0) = (sum_scalar(xs), dot_scalar(xs, ws));
+            let (s1, d1) = (kernels::sum(xs), kernels::dot(xs, ws));
             // Sound bound: reassociation error ≤ n·ε·Σ|terms|.
             let norm: f32 = xs.iter().map(|v| v.abs()).sum();
             prop_assert!(
@@ -114,8 +140,8 @@ proptest! {
         for &len in &lens {
             let r = at..at + len;
             at += len;
-            kernels::softmax_into_scalar(&x[r.clone()], &mut p_s[r.clone()]);
-            kernels::softmax_into_chunked(&x[r.clone()], &mut p_c[r.clone()]);
+            softmax_into_scalar(&x[r.clone()], &mut p_s[r.clone()]);
+            kernels::softmax_into(&x[r.clone()], &mut p_c[r.clone()]);
             for j in r.clone() {
                 prop_assert!(
                     close(p_s[j], p_c[j], len, f32::EPSILON * len as f32),
@@ -123,14 +149,10 @@ proptest! {
                     p_s[j], p_c[j]
                 );
             }
-            // Backward differs only through the mode-dispatched dot; run
-            // it under each mode against that mode's forward output.
-            with_mode(KernelMode::Scalar, || {
-                kernels::seg_softmax_bwd(&p_s[r.clone()], &gout[r.clone()], &mut gx_s[r.clone()]);
-            });
-            with_mode(KernelMode::Chunked, || {
-                kernels::seg_softmax_bwd(&p_c[r.clone()], &gout[r.clone()], &mut gx_c[r.clone()]);
-            });
+            // Backward differs only through the reduction's dot; run each
+            // against its own forward output.
+            seg_softmax_bwd_scalar(&p_s[r.clone()], &gout[r.clone()], &mut gx_s[r.clone()]);
+            kernels::seg_softmax_bwd(&p_c[r.clone()], &gout[r.clone()], &mut gx_c[r.clone()]);
             let dnorm: f32 = gout[r.clone()].iter().zip(&p_s[r.clone()])
                 .map(|(a, b)| (a * b).abs()).sum();
             for j in r {
@@ -151,31 +173,20 @@ proptest! {
         let idx: Vec<u32> = (0..total)
             .map(|i| ((i * 2654435761) % total) as u32)
             .collect();
-        let run = |mode| {
-            with_mode(mode, || {
-                let mut out = vec![0.0f32; total];
-                let mut gx = vec![0.0f32; total];
-                let mut acc = vec![0.0f32; total];
-                kernels::gather_fwd(&mut out, &x, &idx);
-                kernels::scatter_bwd(&mut gx, &x, &idx);
-                kernels::scatter_add(&mut acc, &idx, &x);
-                (out, gx, acc)
-            })
-        };
-        let scalar = run(KernelMode::Scalar);
-        let chunked = run(KernelMode::Chunked);
-        // Index-driven kernels visit each output bin in the same order
-        // in both modes, so they must agree bit-for-bit.
-        prop_assert_eq!(scalar, chunked);
+        let mut acc = vec![0.0f32; total];
+        kernels::scatter_add(&mut acc, &idx, &x);
+        let mut want = vec![0.0f32; total];
+        scatter_add_scalar(&mut want, &idx, &x);
+        // The unrolled scatter visits each output bin in index order, so
+        // it must agree with the plain loop bit-for-bit.
+        prop_assert_eq!(&acc, &want);
+        let mut out = vec![0.0f32; total];
+        kernels::gather_fwd(&mut out, &x, &idx);
+        let mut gx = vec![0.0f32; total];
+        kernels::scatter_bwd(&mut gx, &x, &idx);
+        for (j, &i) in idx.iter().enumerate() {
+            prop_assert_eq!(out[j], x[i as usize]);
+            prop_assert_eq!(gx[j], x[i as usize]);
+        }
     }
-}
-
-#[test]
-fn ambient_mode_honours_env() {
-    let _guard = MODE_LOCK.lock().unwrap();
-    let expect = match std::env::var("DGR_KERNELS") {
-        Ok(s) if s.eq_ignore_ascii_case("scalar") => KernelMode::Scalar,
-        _ => KernelMode::Chunked,
-    };
-    assert_eq!(kernel_mode(), expect);
 }

@@ -1,7 +1,7 @@
-//! Micro-benchmark of the chunked 8-lane kernels against their scalar
-//! references: SegSoftmax (forward + backward), Gather (forward +
-//! scatter backward), and ScatterAdd, at several segment-size
-//! distributions, reported as ns/element. Writes `BENCH_kernels.json`.
+//! Micro-benchmark of the chunked 8-lane kernels: SegSoftmax (forward +
+//! backward), Gather (forward + scatter backward), and ScatterAdd, at
+//! several segment-size distributions, reported as ns/element. Writes
+//! `BENCH_kernels.json`.
 //!
 //! Usage: `bench_kernels [--fast]`. Environment overrides:
 //! `DGR_BENCH_ELEMS` (elements per layout, default 262144),
@@ -11,7 +11,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use dgr_autodiff::{set_kernel_mode, KernelMode, Segments};
+use dgr_autodiff::Segments;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -66,8 +66,7 @@ fn time_ns_per_elem(total: usize, reps: usize, mut f: impl FnMut()) -> f64 {
 struct KernelRow {
     kernel: &'static str,
     layout: &'static str,
-    scalar_ns: f64,
-    chunked_ns: f64,
+    ns_per_elem: f64,
 }
 
 fn bench_layout(layout: &Layout, reps: usize, rng: &mut StdRng) -> Vec<KernelRow> {
@@ -82,74 +81,41 @@ fn bench_layout(layout: &Layout, reps: usize, rng: &mut StdRng) -> Vec<KernelRow
     let mut gx = vec![0.0f32; total];
 
     let mut rows = Vec::new();
-    let per_mode = |f: &mut dyn FnMut()| -> (f64, f64) {
-        set_kernel_mode(KernelMode::Scalar);
-        let scalar = time_ns_per_elem(total, reps, &mut *f);
-        set_kernel_mode(KernelMode::Chunked);
-        let chunked = time_ns_per_elem(total, reps, f);
-        (scalar, chunked)
+    let mut row = |kernel: &'static str, f: &mut dyn FnMut()| {
+        rows.push(KernelRow {
+            kernel,
+            layout: layout.name,
+            ns_per_elem: time_ns_per_elem(total, reps, f),
+        });
     };
 
     // SegSoftmax forward: per-segment softmax into `out`.
-    let (scalar_ns, chunked_ns) = per_mode(&mut || {
+    row("seg_softmax_fwd", &mut || {
         for s in 0..seg.num_segments() {
             let r = seg.segment(s);
             dgr_autodiff::kernels::softmax_into(&x[r.clone()], &mut out[r]);
         }
     });
-    rows.push(KernelRow {
-        kernel: "seg_softmax_fwd",
-        layout: layout.name,
-        scalar_ns,
-        chunked_ns,
-    });
-
     // SegSoftmax backward: fused dot + weighted accumulate per segment.
-    let (scalar_ns, chunked_ns) = per_mode(&mut || {
+    row("seg_softmax_bwd", &mut || {
         gx.fill(0.0);
         for s in 0..seg.num_segments() {
             let r = seg.segment(s);
             dgr_autodiff::kernels::seg_softmax_bwd(&out[r.clone()], &gout[r.clone()], &mut gx[r]);
         }
     });
-    rows.push(KernelRow {
-        kernel: "seg_softmax_bwd",
-        layout: layout.name,
-        scalar_ns,
-        chunked_ns,
-    });
-
     // Gather forward + its scatter backward.
-    let (scalar_ns, chunked_ns) = per_mode(&mut || {
+    row("gather_fwd", &mut || {
         dgr_autodiff::kernels::gather_fwd(&mut out, &x, &idx);
     });
-    rows.push(KernelRow {
-        kernel: "gather_fwd",
-        layout: layout.name,
-        scalar_ns,
-        chunked_ns,
-    });
-    let (scalar_ns, chunked_ns) = per_mode(&mut || {
+    row("gather_bwd", &mut || {
         gx.fill(0.0);
         dgr_autodiff::kernels::scatter_bwd(&mut gx, &gout, &idx);
     });
-    rows.push(KernelRow {
-        kernel: "gather_bwd",
-        layout: layout.name,
-        scalar_ns,
-        chunked_ns,
-    });
-
     // ScatterAdd forward.
-    let (scalar_ns, chunked_ns) = per_mode(&mut || {
+    row("scatter_add", &mut || {
         out.fill(0.0);
         dgr_autodiff::kernels::scatter_add(&mut out, &idx, &x);
-    });
-    rows.push(KernelRow {
-        kernel: "scatter_add",
-        layout: layout.name,
-        scalar_ns,
-        chunked_ns,
     });
 
     rows
@@ -172,17 +138,10 @@ fn main() {
             layout.offsets.len() - 1
         );
         for row in bench_layout(&layout, reps, &mut rng) {
-            println!(
-                "    {:<16} scalar {:7.3} ns/elem   chunked {:7.3} ns/elem   ({:.2}x)",
-                row.kernel,
-                row.scalar_ns,
-                row.chunked_ns,
-                row.scalar_ns / row.chunked_ns
-            );
+            println!("    {:<16} {:7.3} ns/elem", row.kernel, row.ns_per_elem);
             rows.push(row);
         }
     }
-    set_kernel_mode(KernelMode::Chunked);
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -193,9 +152,8 @@ fn main() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         let _ = writeln!(
             json,
-            "    {{ \"kernel\": \"{}\", \"layout\": \"{}\", \"scalar_ns_per_elem\": {:.4}, \"chunked_ns_per_elem\": {:.4}, \"speedup\": {:.3} }}{comma}",
-            row.kernel, row.layout, row.scalar_ns, row.chunked_ns,
-            row.scalar_ns / row.chunked_ns
+            "    {{ \"kernel\": \"{}\", \"layout\": \"{}\", \"ns_per_elem\": {:.4} }}{comma}",
+            row.kernel, row.layout, row.ns_per_elem
         );
     }
     let _ = writeln!(json, "  ]");

@@ -1,22 +1,18 @@
 //! Training-throughput benchmark: measures iterations/second of the
-//! persistent-pool executor against the legacy spawn-per-op executor on
-//! the same cost model, and writes `BENCH_train.json`.
+//! tape executor on one cost model, with a span-sourced per-phase
+//! breakdown, and writes `BENCH_train.json`.
 //!
 //! Usage: `bench_train [--fast]`. Environment overrides:
 //! `DGR_BENCH_NETS` (default 4000), `DGR_BENCH_ITERS` (default 100),
-//! `DGR_BENCH_THREADS` (default: machine parallelism), `DGR_BENCH_BATCH`
-//! (batched-training instance count, default 4),
-//! `DGR_BENCH_BATCH_REPS` (best-of-N repetitions for the batch
-//! comparison, default 3), `DGR_BENCH_OUT` (default `BENCH_train.json`).
+//! `DGR_BENCH_THREADS` (default: machine parallelism), `DGR_BENCH_OUT`
+//! (default `BENCH_train.json`).
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use dgr_autodiff::parallel::{self, ExecMode};
+use dgr_autodiff::parallel;
 use dgr_autodiff::Adam;
-use dgr_core::{
-    build_cost_model, build_cost_model_batched, extract_solution, train, train_batched, DgrConfig,
-};
+use dgr_core::{build_cost_model, extract_solution, DgrConfig};
 use dgr_io::{IspdLikeConfig, IspdLikeGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,8 +25,8 @@ struct Measurement {
 }
 
 /// Per-phase mean milliseconds sourced from the `dgr-obs` span registry
-/// (the pool run records `forward`/`backward`/`adam` spans per iteration
-/// plus one `extract` span).
+/// (the run records `forward`/`backward`/`adam` spans per iteration plus
+/// one `extract` span).
 struct Phases {
     forward_ms: f64,
     backward_ms: f64,
@@ -61,90 +57,7 @@ fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Batched multi-seed amortization: end-to-end wall-clock of one
-/// `dgr train`-shaped run (candidate trees → DAG forest → tape build →
-/// training) versus one `dgr train --batch N` run over `batch` seeds.
-/// Running N single-seed searches pays the whole front end N times;
-/// the batched run builds everything once and walks one fused tape, so
-/// `amortization` (single × batch / batch_wall) exceeds 1 whenever that
-/// sharing beats `batch` separate runs. `train_ms` fields isolate the
-/// training-loop portion of each wall time.
-struct BatchMeasurement {
-    batch: usize,
-    single_wall_ms: f64,
-    single_train_ms: f64,
-    batch_wall_ms: f64,
-    batch_train_ms: f64,
-    per_instance_ms: f64,
-    amortization: f64,
-}
-
-fn measure_batch(design: &dgr_grid::Design, cfg: &DgrConfig, batch: usize) -> BatchMeasurement {
-    // (wall_ms, train_ms) of the full single-seed path, as `dgr train`
-    // runs it.
-    let single = || {
-        let start = Instant::now();
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let pools: Vec<_> = design
-            .nets
-            .iter()
-            .map(|n| dgr_rsmt::tree_candidates(&n.pins, &cfg.candidates).expect("pins"))
-            .collect();
-        let forest = dgr_dag::build_forest(&design.grid, &pools, cfg.patterns).expect("in grid");
-        let mut model = build_cost_model(design, &forest, cfg, &mut rng);
-        let report = train(&mut model, cfg, &mut rng);
-        (
-            start.elapsed().as_secs_f64() * 1e3,
-            report.duration.as_secs_f64() * 1e3,
-        )
-    };
-    // Same shape through the batched path, as `dgr train --batch N`
-    // runs it: the front end and tape build happen once for all seeds.
-    let batched = |seeds: &[u64]| {
-        let start = Instant::now();
-        let pools: Vec<_> = design
-            .nets
-            .iter()
-            .map(|n| dgr_rsmt::tree_candidates(&n.pins, &cfg.candidates).expect("pins"))
-            .collect();
-        let forest = dgr_dag::build_forest(&design.grid, &pools, cfg.patterns).expect("in grid");
-        let (mut model, mut rngs) = build_cost_model_batched(design, &forest, cfg, seeds);
-        let reports = train_batched(&mut model, cfg, &mut rngs);
-        (
-            start.elapsed().as_secs_f64() * 1e3,
-            reports[0].duration.as_secs_f64() * 1e3,
-        )
-    };
-    // Best-of-N: wall-clock on a shared host is noisy at this scale, and
-    // the minimum is the standard estimator of the true cost.
-    let reps = env_usize("DGR_BENCH_BATCH_REPS", 3).max(1);
-    let best = |f: &dyn Fn() -> (f64, f64)| {
-        (0..reps)
-            .map(|_| f())
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("at least one rep")
-    };
-    let (single_wall_ms, single_train_ms) = best(&single);
-    let seeds: Vec<u64> = (0..batch as u64).map(|b| cfg.seed + b).collect();
-    let (batch_wall_ms, batch_train_ms) = best(&|| batched(&seeds));
-    BatchMeasurement {
-        batch,
-        single_wall_ms,
-        single_train_ms,
-        batch_wall_ms,
-        batch_train_ms,
-        per_instance_ms: batch_wall_ms / batch as f64,
-        amortization: single_wall_ms * batch as f64 / batch_wall_ms,
-    }
-}
-
-fn measure(
-    design: &dgr_grid::Design,
-    cfg: &DgrConfig,
-    iters: usize,
-    mode: ExecMode,
-) -> Measurement {
-    parallel::set_exec_mode(mode);
+fn measure(design: &dgr_grid::Design, cfg: &DgrConfig, iters: usize) -> Measurement {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let pools: Vec<_> = design
         .nets
@@ -180,7 +93,6 @@ fn measure(
     // One extraction so the phase table covers the full route pipeline
     // (extract_solution records its own `extract` span).
     extract_solution(design, &forest, &mut model, cfg).expect("extract");
-    parallel::set_exec_mode(ExecMode::Pool);
     Measurement {
         iters_per_sec: iters as f64 / total.as_secs_f64(),
         forward_ms: forward.as_secs_f64() * 1e3 / iters as f64,
@@ -224,61 +136,26 @@ fn main() {
     }
 
     println!("bench_train: {nets} nets, {iters} iters, {threads} threads ({host_cpus} host cpus)");
-    let swap = std::env::var_os("DGR_BENCH_ORDER").is_some_and(|v| v == "swap");
-    let mut spawn_first = None;
-    if swap {
-        spawn_first = Some(measure(&design, &cfg, iters, ExecMode::Spawn));
-    }
-    // Span-source the per-phase breakdown from the pool run only; the
-    // spawn baseline measures with observability off, as before.
     dgr_obs::reset();
     dgr_obs::set_enabled(true);
-    let pool = measure(&design, &cfg, iters, ExecMode::Pool);
+    let run = measure(&design, &cfg, iters);
     dgr_obs::set_enabled(false);
     let phases = phases_from_spans();
     println!(
-        "  pool  executor: {:8.2} iters/s  (fwd {:.3} ms, bwd {:.3} ms)",
-        pool.iters_per_sec, pool.forward_ms, pool.backward_ms
+        "  executor: {:8.2} iters/s  (fwd {:.3} ms, bwd {:.3} ms)  graph: {} bytes",
+        run.iters_per_sec, run.forward_ms, run.backward_ms, run.graph_bytes
     );
     println!(
-        "  phase means   : fwd {:.3} ms, bwd {:.3} ms, adam {:.3} ms, extract {:.3} ms",
+        "  phase means: fwd {:.3} ms, bwd {:.3} ms, adam {:.3} ms, extract {:.3} ms",
         phases.forward_ms, phases.backward_ms, phases.adam_ms, phases.extract_ms
-    );
-    let spawn = spawn_first.unwrap_or_else(|| measure(&design, &cfg, iters, ExecMode::Spawn));
-    println!(
-        "  spawn executor: {:8.2} iters/s  (fwd {:.3} ms, bwd {:.3} ms)",
-        spawn.iters_per_sec, spawn.forward_ms, spawn.backward_ms
-    );
-    let speedup = pool.iters_per_sec / spawn.iters_per_sec;
-    println!(
-        "  speedup: {speedup:.2}x  graph: {} bytes",
-        pool.graph_bytes
-    );
-
-    let batch_size = env_usize("DGR_BENCH_BATCH", 4);
-    let batch_cfg = DgrConfig {
-        iterations: iters,
-        ..cfg.clone()
-    };
-    let batch = measure_batch(&design, &batch_cfg, batch_size);
-    println!(
-        "  batched [{}x]  : single {:.1} ms (train {:.1}), batch {:.1} ms (train {:.1}) \
-         — {:.1} ms/instance, {:.2}x amortization",
-        batch.batch,
-        batch.single_wall_ms,
-        batch.single_train_ms,
-        batch.batch_wall_ms,
-        batch.batch_train_ms,
-        batch.per_instance_ms,
-        batch.amortization
     );
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"iters_per_sec\": {:.3},", pool.iters_per_sec);
-    let _ = writeln!(json, "  \"forward_ms\": {:.4},", pool.forward_ms);
-    let _ = writeln!(json, "  \"backward_ms\": {:.4},", pool.backward_ms);
-    let _ = writeln!(json, "  \"graph_bytes\": {},", pool.graph_bytes);
+    let _ = writeln!(json, "  \"iters_per_sec\": {:.3},", run.iters_per_sec);
+    let _ = writeln!(json, "  \"forward_ms\": {:.4},", run.forward_ms);
+    let _ = writeln!(json, "  \"backward_ms\": {:.4},", run.backward_ms);
+    let _ = writeln!(json, "  \"graph_bytes\": {},", run.graph_bytes);
     let _ = writeln!(json, "  \"threads\": {threads},");
     let _ = writeln!(json, "  \"host_cpus\": {host_cpus},");
     let _ = writeln!(json, "  \"oversubscribed\": {oversubscribed},");
@@ -286,20 +163,8 @@ fn main() {
     let _ = writeln!(json, "  \"iterations\": {iters},");
     let _ = writeln!(
         json,
-        "  \"phases\": {{ \"forward_ms\": {:.4}, \"backward_ms\": {:.4}, \"adam_ms\": {:.4}, \"extract_ms\": {:.4} }},",
+        "  \"phases\": {{ \"forward_ms\": {:.4}, \"backward_ms\": {:.4}, \"adam_ms\": {:.4}, \"extract_ms\": {:.4} }}",
         phases.forward_ms, phases.backward_ms, phases.adam_ms, phases.extract_ms
-    );
-    let _ = writeln!(
-        json,
-        "  \"baseline_spawn\": {{ \"iters_per_sec\": {:.3}, \"forward_ms\": {:.4}, \"backward_ms\": {:.4} }},",
-        spawn.iters_per_sec, spawn.forward_ms, spawn.backward_ms
-    );
-    let _ = writeln!(json, "  \"speedup_vs_spawn\": {speedup:.3},");
-    let _ = writeln!(
-        json,
-        "  \"batch\": {{ \"batch\": {}, \"single_wall_ms\": {:.2}, \"single_train_ms\": {:.2}, \"batch_wall_ms\": {:.2}, \"batch_train_ms\": {:.2}, \"per_instance_ms\": {:.2}, \"amortization\": {:.3} }}",
-        batch.batch, batch.single_wall_ms, batch.single_train_ms, batch.batch_wall_ms,
-        batch.batch_train_ms, batch.per_instance_ms, batch.amortization
     );
     let _ = writeln!(json, "}}");
     std::fs::write(&out_path, json).expect("write benchmark report");

@@ -41,12 +41,12 @@ pub fn memory_snapshot() -> MemorySnapshot {
 /// "unmeasurable" is distinguishable from "zero": the JSONL `mem_rss`
 /// field serializes `None` as `null`, never as `0`.
 pub fn rss_bytes() -> Option<u64> {
-    let snap = memory_snapshot();
-    if snap.rss == 0 {
-        None
-    } else {
-        Some(snap.rss)
-    }
+    rss_of(&memory_snapshot())
+}
+
+/// The RSS of `snap`, or `None` when the snapshot could not read it.
+fn rss_of(snap: &MemorySnapshot) -> Option<u64> {
+    (snap.rss != 0).then_some(snap.rss)
 }
 
 fn parse_kb(rest: &str) -> u64 {
@@ -74,11 +74,13 @@ mod tests {
 
     #[test]
     fn rss_bytes_agrees_with_snapshot() {
+        // One snapshot: RSS moves between two separate `/proc` reads.
         let snap = memory_snapshot();
-        match rss_bytes() {
+        match rss_of(&snap) {
             Some(rss) => assert_eq!(rss, snap.rss),
             None => assert_eq!(snap.rss, 0, "None only when RSS is unreadable"),
         }
+        assert_eq!(rss_bytes().is_some(), snap.rss > 0);
     }
 
     #[test]

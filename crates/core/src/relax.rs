@@ -70,8 +70,7 @@ pub struct CostModel {
 
 impl CostModel {
     /// Convenience: run a forward pass and return
-    /// `(loss, overflow, wirelength, via)` scalars (instance 0 when the
-    /// model is batched).
+    /// `(loss, overflow, wirelength, via)` scalars.
     pub fn evaluate(&mut self) -> (f32, f32, f32, f32) {
         self.graph.forward();
         (
@@ -80,11 +79,6 @@ impl CostModel {
             self.graph.value(self.wl_cost)[0],
             self.graph.value(self.via_cost)[0],
         )
-    }
-
-    /// Number of independent training instances the tape evaluates.
-    pub fn batch(&self) -> usize {
-        self.graph.batch()
     }
 }
 
@@ -108,93 +102,6 @@ pub fn build_cost_model(
     let noise_path = g.input(vec![0.0; forest.num_paths()]);
     let temperature = g.input(vec![cfg.initial_temperature]);
 
-    assemble_cost_graph(
-        design,
-        forest,
-        cfg,
-        g,
-        w_tree,
-        w_path,
-        noise_tree,
-        noise_path,
-        temperature,
-    )
-}
-
-/// Builds one tape evaluating `seeds.len()` independent training
-/// instances (one per seed) in instance-major batch layout.
-///
-/// Each instance's logits are initialized exactly as a standalone
-/// [`build_cost_model`] call with that seed would initialize them
-/// (`w_tree` draws, then `w_path` draws, from that seed's RNG), and the
-/// returned RNGs have advanced by exactly those draws — so feeding
-/// `rngs[b]` to [`crate::train::train_batched`] reproduces the
-/// single-instance training trajectory of seed `b` bit for bit.
-pub fn build_cost_model_batched(
-    design: &Design,
-    forest: &DagForest,
-    cfg: &DgrConfig,
-    seeds: &[u64],
-) -> (CostModel, Vec<StdRng>) {
-    use rand::SeedableRng;
-    assert!(!seeds.is_empty(), "batched model needs at least one seed");
-    let batch = seeds.len();
-    let num_trees = forest.num_trees();
-    let num_paths = forest.num_paths();
-
-    let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-    let mut w_tree_data = Vec::with_capacity(num_trees * batch);
-    let mut w_path_data = Vec::with_capacity(num_paths * batch);
-    for rng in &mut rngs {
-        // per-instance draw order matches build_cost_model: trees, paths
-        w_tree_data.extend(init_logits(rng, num_trees));
-        w_path_data.extend(init_logits(rng, num_paths));
-    }
-
-    let mut g = Graph::with_batch(batch);
-    // stacked logits are instance-major; noise/temperature zeros and the
-    // initial temperature replicate across instances
-    let w_tree = g.param_stacked(num_trees, w_tree_data);
-    let w_path = g.param_stacked(num_paths, w_path_data);
-    let noise_tree = g.input(vec![0.0; num_trees]);
-    let noise_path = g.input(vec![0.0; num_paths]);
-    let temperature = g.input(vec![cfg.initial_temperature]);
-
-    let model = assemble_cost_graph(
-        design,
-        forest,
-        cfg,
-        g,
-        w_tree,
-        w_path,
-        noise_tree,
-        noise_path,
-        temperature,
-    );
-    (model, rngs)
-}
-
-/// `Uniform(−0.5, 0.5)` logit initialization (the paper initializes `w`
-/// randomly).
-fn init_logits(rng: &mut StdRng, n: usize) -> Vec<f32> {
-    (0..n).map(|_| rng.gen_range(-0.5..0.5)).collect()
-}
-
-/// The shared graph-assembly tail: everything after the leaves. The op
-/// tape is identical for single and batched builds — the batch axis lives
-/// entirely in the arena layout.
-#[allow(clippy::too_many_arguments)]
-fn assemble_cost_graph(
-    design: &Design,
-    forest: &DagForest,
-    cfg: &DgrConfig,
-    mut g: Graph,
-    w_tree: VarId,
-    w_path: VarId,
-    noise_tree: VarId,
-    noise_path: VarId,
-    temperature: VarId,
-) -> CostModel {
     let grid = &design.grid;
     let cap = &design.capacity;
     let num_edges = grid.num_edges();
@@ -300,6 +207,12 @@ fn assemble_cost_graph(
         overflow_cost,
         loss,
     }
+}
+
+/// `Uniform(−0.5, 0.5)` logit initialization (the paper initializes `w`
+/// randomly).
+fn init_logits(rng: &mut StdRng, n: usize) -> Vec<f32> {
+    (0..n).map(|_| rng.gen_range(-0.5..0.5)).collect()
 }
 
 /// For a CSR with `offsets.len() - 1 == owners` groups, produces the
@@ -437,51 +350,6 @@ mod tests {
         }
         let (l1, ..) = m.evaluate();
         assert!(l1 <= l0, "loss went up: {l0} → {l1}");
-    }
-
-    #[test]
-    fn batched_build_replicates_per_seed_initialization() {
-        let (design, forest) = small_design();
-        let cfg = DgrConfig::default();
-        let seeds = [11u64, 23, 47];
-        let (batched, rngs) = build_cost_model_batched(&design, &forest, &cfg, &seeds);
-        assert_eq!(batched.batch(), 3);
-        assert_eq!(rngs.len(), 3);
-        for (b, &seed) in seeds.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let single = build_cost_model(&design, &forest, &cfg, &mut rng);
-            assert_eq!(
-                batched.graph.value_at(batched.w_tree, b),
-                single.graph.value(single.w_tree),
-                "w_tree of instance {b} differs from standalone seed {seed}"
-            );
-            assert_eq!(
-                batched.graph.value_at(batched.w_path, b),
-                single.graph.value(single.w_path),
-            );
-        }
-    }
-
-    #[test]
-    fn batched_forward_matches_standalone_per_instance() {
-        let (design, forest) = small_design();
-        let cfg = DgrConfig::default();
-        let seeds = [5u64, 9];
-        let (mut batched, _) = build_cost_model_batched(&design, &forest, &cfg, &seeds);
-        batched.graph.forward();
-        for (b, &seed) in seeds.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut single = build_cost_model(&design, &forest, &cfg, &mut rng);
-            single.graph.forward();
-            assert_eq!(
-                batched.graph.value_at(batched.loss, b),
-                single.graph.value(single.loss),
-            );
-            assert_eq!(
-                batched.graph.value_at(batched.demand, b),
-                single.graph.value(single.demand),
-            );
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::spec::JobSpec;
+use crate::spec::{DesignSource, JobSpec};
 
 /// Daemon-wide job identifier.
 ///
@@ -282,6 +282,21 @@ impl JobTable {
         Some(id)
     }
 
+    /// Hands a claimed job's spec to its worker. Inline design text moves
+    /// out rather than being copied: the record never reads it again, and
+    /// every retained terminal job would otherwise keep the whole netlist.
+    pub fn take_spec(&mut self, id: JobId) -> Option<JobSpec> {
+        let spec = &mut self.jobs.get_mut(&id)?.spec;
+        let design = match &mut spec.design {
+            DesignSource::Text(text) => DesignSource::Text(std::mem::take(text)),
+            other => other.clone(),
+        };
+        Some(JobSpec {
+            design,
+            ..spec.clone()
+        })
+    }
+
     /// Records the outcome of a claimed job's run. `cancelled` wins over
     /// `result` (a cooperatively stopped run reports `Cancelled` even
     /// though it produced an error value internally).
@@ -458,7 +473,6 @@ pub fn now_unix_ms() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::DesignSource;
 
     fn spec(priority: i64) -> JobSpec {
         JobSpec {
@@ -485,6 +499,24 @@ mod tests {
         t.finish(a, Ok(JobResult::default()), None, false);
         t.cancel(b).unwrap();
         assert_eq!(t.state_counts(), [0, 0, 1, 0, 1]);
+    }
+
+    #[test]
+    fn take_spec_moves_inline_design_text_to_the_worker() {
+        let mut t = JobTable::new(8, 8);
+        let id = t
+            .submit(JobSpec {
+                design: DesignSource::Text("DGR-DESIGN v1\n".into()),
+                ..spec(3)
+            })
+            .unwrap();
+        assert_eq!(t.claim(), Some(id));
+        let taken = t.take_spec(id).unwrap();
+        assert_eq!(taken.design, DesignSource::Text("DGR-DESIGN v1\n".into()));
+        assert_eq!(taken.priority, 3);
+        let kept = &t.get(id).unwrap().spec;
+        assert_eq!(kept.design, DesignSource::Text(String::new()));
+        assert_eq!(kept.label, "t");
     }
 
     #[test]

@@ -196,9 +196,10 @@ fn worker_loop(inner: &Inner) {
                     return;
                 }
                 if let Some(id) = table.claim() {
-                    let job = table.get(id).expect("claimed job exists");
+                    let spec = table.take_spec(id).expect("claimed job exists");
+                    let cancel = Arc::clone(&table.get(id).expect("claimed job exists").cancel);
                     publish_queue_gauges(&table);
-                    break (id, job.spec.clone(), Arc::clone(&job.cancel));
+                    break (id, spec, cancel);
                 }
                 table = inner.work.wait(table).unwrap_or_else(|p| p.into_inner());
             }

@@ -212,14 +212,15 @@ fn opt_str(v: &JsonValue, key: &str) -> Result<Option<String>, SpecError> {
     }
 }
 
+/// A non-negative integer below 2^53: above that, JSON numbers parse to
+/// a rounded `f64` and the job would silently run with another value.
 fn opt_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, SpecError> {
     match v.get(key) {
         None | Some(JsonValue::Null) => Ok(None),
-        Some(n @ JsonValue::Num(_)) => n
+        Some(n) => n
             .as_u64()
             .map(Some)
-            .ok_or_else(|| SpecError(format!("`{key}` must be a non-negative integer"))),
-        Some(_) => Err(SpecError(format!("`{key}` must be a non-negative integer"))),
+            .ok_or_else(|| SpecError(format!("`{key}` must be a non-negative integer below 2^53"))),
     }
 }
 
@@ -296,6 +297,11 @@ mod tests {
                 r#"{"design_text":"x","max_stall_iters":"soon"}"#,
                 "non-negative",
             ),
+            (
+                r#"{"design_text":"x","seed":9007199254740993}"#,
+                "below 2^53",
+            ),
+            (r#"{"design_text":"x","deadline_ms":1e300}"#, "below 2^53"),
             (r#"{"design_text":"x","priority":1.5}"#, "integer"),
             (r#"{"design_text":"x","guide":"yes"}"#, "boolean"),
             (r#"{"design_text":7}"#, "must be a string"),

@@ -51,10 +51,14 @@ impl CapacityModel {
     /// Reassembles a model from raw per-edge capacities and per-cell `β`
     /// weights (e.g. when parsing a serialized design).
     ///
+    /// Negative capacities are legal (heavily blocked edges); NaN and
+    /// infinities are not, since they poison the training loss.
+    ///
     /// # Errors
     ///
     /// Returns [`GridError::LengthMismatch`] if either buffer does not
-    /// match `grid`.
+    /// match `grid`, or [`GridError::NonFinite`] naming the first NaN or
+    /// infinite entry.
     pub fn from_parts(grid: &GcellGrid, cap: Vec<f32>, beta: Vec<f32>) -> Result<Self, GridError> {
         if cap.len() != grid.num_edges() {
             return Err(GridError::LengthMismatch {
@@ -67,6 +71,11 @@ impl CapacityModel {
                 expected: grid.num_cells(),
                 got: beta.len(),
             });
+        }
+        for (what, vals) in [("tracks", &cap), ("beta", &beta)] {
+            if let Some(index) = vals.iter().position(|v| !v.is_finite()) {
+                return Err(GridError::NonFinite { what, index });
+            }
         }
         Ok(CapacityModel { cap, beta })
     }

@@ -86,6 +86,13 @@ pub enum GridError {
         /// Provided number of entries.
         got: usize,
     },
+    /// A capacity or `β` entry was NaN or infinite.
+    NonFinite {
+        /// Which buffer held it (`"tracks"` or `"beta"`).
+        what: &'static str,
+        /// Index of the first offending entry.
+        index: usize,
+    },
 }
 
 impl std::fmt::Display for GridError {
@@ -105,6 +112,9 @@ impl std::fmt::Display for GridError {
             }
             GridError::LengthMismatch { expected, got } => {
                 write!(f, "expected {expected} entries, got {got}")
+            }
+            GridError::NonFinite { what, index } => {
+                write!(f, "{what} entry {index} is not a finite number")
             }
         }
     }

@@ -12,7 +12,7 @@
 //! Rust's shortest round-trip representation, so a parsed design routes
 //! **bit-identically** to the generated one.
 
-use dgr_grid::{CapacityModel, Design, GcellGrid, Net, Point};
+use dgr_grid::{CapacityModel, Design, GcellGrid, GridError, Net, Point};
 
 use crate::IoError;
 
@@ -75,21 +75,26 @@ pub fn parse_design(text: &str) -> Result<Design, IoError> {
     let layers = parse_u32(parts[3], i + 1)?;
     let grid = GcellGrid::new(width, height)?;
 
-    let (i, tracks_line) = lines.next().ok_or_else(|| err(3, "missing tracks line"))?;
+    let (tracks_at, tracks_line) = lines.next().ok_or_else(|| err(3, "missing tracks line"))?;
     let mut it = tracks_line.split_whitespace();
     if it.next() != Some("tracks") {
-        return Err(err(i + 1, "expected `tracks ...`"));
+        return Err(err(tracks_at + 1, "expected `tracks ...`"));
     }
     let tracks: Result<Vec<f32>, IoError> = it
-        .map(|s| s.parse::<f32>().map_err(|_| err(i + 1, "invalid capacity")))
+        .map(|s| {
+            s.parse::<f32>()
+                .map_err(|_| err(tracks_at + 1, "invalid capacity"))
+        })
         .collect();
     let tracks = tracks?;
 
     // optional beta line (older files omit it → uniform 1.0)
     let mut lines = lines.peekable();
+    let mut beta_at = None;
     let beta = match lines.peek() {
         Some((_, l)) if l.trim_start().starts_with("beta") => {
             let (i, l) = lines.next().expect("peeked");
+            beta_at = Some(i);
             let vals: Result<Vec<f32>, IoError> = l
                 .split_whitespace()
                 .skip(1)
@@ -99,7 +104,14 @@ pub fn parse_design(text: &str) -> Result<Design, IoError> {
         }
         _ => vec![1.0; grid.num_cells()],
     };
-    let capacity = CapacityModel::from_parts(&grid, tracks, beta)?;
+    let capacity = CapacityModel::from_parts(&grid, tracks, beta).map_err(|e| match e {
+        // point at the offending line, not just the buffer
+        GridError::NonFinite { what, .. } => {
+            let at = if what == "beta" { beta_at } else { None };
+            err(at.unwrap_or(tracks_at) + 1, &e.to_string())
+        }
+        e => e.into(),
+    })?;
 
     let mut nets = Vec::new();
     for (i, line) in lines {
@@ -173,6 +185,39 @@ mod tests {
     fn rejects_out_of_grid_pin() {
         let text = "DGR-DESIGN v1\ngrid 4 4 2\ntracks 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1\nnet a 0 0 9 9\n";
         assert!(matches!(parse_design(text), Err(IoError::Grid(_))));
+    }
+
+    #[test]
+    fn rejects_non_finite_capacities_naming_the_line() {
+        let ones = " 1".repeat(23);
+        for (line, text) in [
+            (
+                3,
+                format!("DGR-DESIGN v1\ngrid 4 4 2\ntracks NaN{ones}\nnet a 0 0 3 3\n"),
+            ),
+            (
+                3,
+                format!("DGR-DESIGN v1\ngrid 4 4 2\ntracks{ones} inf\nnet a 0 0 3 3\n"),
+            ),
+            (
+                4,
+                format!(
+                    "DGR-DESIGN v1\ngrid 4 4 2\ntracks 1{ones}\nbeta{} NaN\nnet a 0 0 3 3\n",
+                    " 1".repeat(15)
+                ),
+            ),
+        ] {
+            match parse_design(&text) {
+                Err(IoError::Parse { line: l, message }) => {
+                    assert_eq!(l, line, "{message}");
+                    assert!(message.contains("not a finite number"), "{message}");
+                }
+                other => panic!("expected a parse error at line {line}, got {other:?}"),
+            }
+        }
+        // negative tracks stay legal: blocked edges
+        let text = format!("DGR-DESIGN v1\ngrid 4 4 2\ntracks -2{ones}\nnet a 0 0 3 3\n");
+        assert!(parse_design(&text).is_ok());
     }
 
     #[test]

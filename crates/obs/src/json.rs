@@ -62,6 +62,17 @@ impl JsonObject {
         self.buf.push_str(&v.to_string());
     }
 
+    /// Adds an unsigned integer field that reads back exactly through
+    /// [`crate::parse::JsonValue::as_u64_exact`]: a number below 2^53, a
+    /// decimal string from there up, where a JSON number would round.
+    pub fn field_u64_exact(&mut self, name: &str, v: u64) {
+        if v < 1 << 53 {
+            self.field_u64(name, v);
+        } else {
+            self.field_str(name, &v.to_string());
+        }
+    }
+
     /// Adds an `f32` field (`null` when non-finite).
     pub fn field_f32(&mut self, name: &str, v: f32) {
         self.key(name);

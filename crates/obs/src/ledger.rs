@@ -47,7 +47,8 @@ pub struct LedgerRecord {
     pub config_fp: String,
     /// Training iterations executed.
     pub iterations: u64,
-    /// RNG seed.
+    /// RNG seed (a decimal string in the JSON from 2^53 up, so it
+    /// replays exactly).
     pub seed: u64,
     /// Batch lane count (1 for single-instance runs).
     pub batch: u64,
@@ -91,7 +92,7 @@ impl LedgerRecord {
         o.field_u64("nets", self.nets);
         o.field_str("config_fp", &self.config_fp);
         o.field_u64("iterations", self.iterations);
-        o.field_u64("seed", self.seed);
+        o.field_u64_exact("seed", self.seed);
         o.field_u64("batch", self.batch);
         o.field_u64("wall_ms", self.wall_ms);
         o.field_f64("it_per_s", self.it_per_s);
@@ -144,6 +145,11 @@ impl LedgerRecord {
         let f = |k: &str| v.num(k).unwrap_or(0.0);
         let s = |k: &str| v.str(k).unwrap_or("").to_string();
         v.get("version")?;
+        // an unreadable seed drops the record rather than replaying as 0
+        let seed = match v.get("seed") {
+            Some(seed) => seed.as_u64_exact()?,
+            None => 0,
+        };
         let mut phases = BTreeMap::new();
         if let Some(JsonValue::Obj(m)) = v.get("phases") {
             for (name, ms) in m {
@@ -161,7 +167,7 @@ impl LedgerRecord {
             nets: u("nets"),
             config_fp: s("config_fp"),
             iterations: u("iterations"),
-            seed: u("seed"),
+            seed,
             batch: u("batch"),
             wall_ms: u("wall_ms"),
             it_per_s: f("it_per_s"),
@@ -319,6 +325,20 @@ mod tests {
         assert_eq!(loaded[0].phases["backward"], 260.25);
         assert!(loaded.iter().all(LedgerRecord::verify));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn seeds_beyond_f64_precision_round_trip_exactly() {
+        for seed in [(1 << 53) - 1, 1 << 53, (1 << 60) + 1, u64::MAX] {
+            let loaded = parse(&record(seed).to_json());
+            assert_eq!(loaded.len(), 1, "{seed}");
+            assert_eq!(loaded[0].seed, seed);
+        }
+        // a numeric seed f64 may have rounded is refused, not read as 0
+        let line = record(1 << 53).to_json();
+        let rounded = line.replace("\"seed\":\"9007199254740992\"", "\"seed\":9007199254740992");
+        assert_ne!(line, rounded);
+        assert!(parse(&rounded).is_empty());
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! JSON parser. This module implements just enough of RFC 8259 for that:
 //! objects, arrays, strings with the escapes [`crate::json::push_escaped`]
 //! emits (plus `\uXXXX`, including surrogate pairs), numbers, booleans and
-//! `null`. Numbers are held as `f64` — every value the crate writes fits
-//! without precision loss at the magnitudes involved.
+//! `null`. Numbers are held as `f64`; [`JsonValue::as_u64`] refuses
+//! integers beyond `f64`'s exact range rather than rounding them.
 
 use std::collections::BTreeMap;
+
+/// 2^53: the first integer at which `f64` spacing exceeds 1.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
 
 /// A parsed JSON value. Object keys live in a [`BTreeMap`] so iteration
 /// order (and therefore everything the report renders) is deterministic.
@@ -45,13 +48,25 @@ impl JsonValue {
         }
     }
 
-    /// `self` as a non-negative integer (`None` for fractional/negative).
+    /// `self` as a non-negative integer: `None` for fractional or
+    /// negative numbers, and for anything at or above 2^53, where `f64`
+    /// stops representing every integer (2^53 + 1 parses to 2^53, so a
+    /// value there may already have been rounded).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < MAX_EXACT_INT => {
                 Some(*n as u64)
             }
             _ => None,
+        }
+    }
+
+    /// [`JsonValue::as_u64`], or a decimal string: the inverse of
+    /// [`crate::json::JsonObject::field_u64_exact`].
+    pub fn as_u64_exact(&self) -> Option<u64> {
+        match self {
+            JsonValue::Str(s) => s.parse().ok(),
+            n => n.as_u64(),
         }
     }
 
@@ -295,16 +310,19 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(c) if c < 0x20 => return Err(self.err("control char in string")),
                 Some(_) => {
-                    // consume one full UTF-8 scalar
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = text.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("control char in string"));
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte in one step. Those are all ASCII, so
+                    // they never fall inside a multi-byte scalar and the
+                    // run is valid UTF-8 whenever the input is.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
                     }
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    s.push_str(run);
                 }
             }
         }
@@ -422,9 +440,27 @@ mod tests {
     }
 
     #[test]
-    fn as_u64_rejects_fractional_and_negative() {
+    fn as_u64_rejects_fractional_negative_and_inexact() {
         assert_eq!(parse_json("4096").unwrap().as_u64(), Some(4096));
-        assert_eq!(parse_json("1.5").unwrap().as_u64(), None);
-        assert_eq!(parse_json("-3").unwrap().as_u64(), None);
+        let max_exact = (1u64 << 53) - 1;
+        assert_eq!(
+            parse_json(&max_exact.to_string()).unwrap().as_u64(),
+            Some(max_exact)
+        );
+        // 2^53 + 1 parses to 2^53, so nothing from 2^53 up is trusted
+        for bad in ["1.5", "-3", "9007199254740992", "9007199254740993", "1e300"] {
+            assert_eq!(parse_json(bad).unwrap().as_u64(), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn megabyte_escaped_multibyte_string_round_trips() {
+        let unit = "aé😀\"\\\n\t\u{1}ß中/";
+        let text: String = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(text.len() >= 1 << 20);
+        let mut o = crate::json::JsonObject::new();
+        o.field_str("s", &text);
+        let v = parse_json(&o.finish()).unwrap();
+        assert_eq!(v.str("s"), Some(text.as_str()));
     }
 }

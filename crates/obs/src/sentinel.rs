@@ -227,8 +227,11 @@ pub struct RuleEngine {
     /// Signs of recent loss deltas: `true` = increase.
     delta_signs: Vec<bool>,
     delta_mags: Vec<f32>,
+    /// Plateau reference: moves only on a ≥1% overflow improvement.
     best_overflow: f32,
     last_overflow_improve: u64,
+    /// True running minimum of the overflow, reported next to the plateau.
+    min_overflow: Option<f32>,
     /// Best (lowest) loss and the iter it happened — feeds stall budgets.
     best_loss: Option<f32>,
     last_loss_improve: u64,
@@ -418,6 +421,10 @@ impl RuleEngine {
 
         // overflow plateau
         if row.overflow.is_finite() {
+            let min = self
+                .min_overflow
+                .map_or(row.overflow, |m| m.min(row.overflow));
+            self.min_overflow = Some(min);
             if self.rows_seen == 1 || row.overflow < self.best_overflow * 0.99 {
                 self.best_overflow = row.overflow;
                 self.last_overflow_improve = iter;
@@ -436,8 +443,8 @@ impl RuleEngine {
                         score: stalled as f32,
                         iter,
                         message: format!(
-                            "overflow stuck at {:.3} for {stalled} iterations (best seen {:.3}) — capacity pressure is not resolving",
-                            row.overflow, self.best_overflow
+                            "overflow stuck at {:.3} for {stalled} iterations (best seen {min:.3}) — capacity pressure is not resolving",
+                            row.overflow
                         ),
                         evidence: ev.samples.clone(),
                     },
@@ -860,18 +867,29 @@ mod tests {
 
     #[test]
     fn stuck_overflow_trips_the_stall_rule() {
+        // Overflow creeps down by well under 1% in total: a plateau, but
+        // every row is a new minimum.
         let rows: Vec<_> = (0..400)
             .map(|i| {
                 let mut r = row(i, 50.0 - 0.01 * i as f32);
-                r.overflow = 3.0;
+                r.overflow = 601.64 - 0.0065 * i as f32;
                 r
             })
             .collect();
         let findings = analyze_rows(&rows);
-        assert!(
-            findings.iter().any(|f| f.rule == "overflow_stall"),
-            "{findings:?}"
-        );
+        let stall = findings
+            .iter()
+            .find(|f| f.rule == "overflow_stall")
+            .unwrap_or_else(|| panic!("{findings:?}"));
+        let number_after = |label: &str| -> f32 {
+            let rest = &stall.message[stall.message.find(label).expect(label) + label.len()..];
+            let end = rest
+                .find(|c: char| c != '.' && !c.is_ascii_digit())
+                .unwrap();
+            rest[..end].parse().unwrap()
+        };
+        let (current, best) = (number_after("stuck at "), number_after("best seen "));
+        assert!(best <= current, "{}", stall.message);
     }
 
     #[test]

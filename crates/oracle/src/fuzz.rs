@@ -3,9 +3,11 @@
 
 use std::path::{Path, PathBuf};
 
+use dgr_obs::json::JsonObject;
+use dgr_obs::parse::{parse_json, JsonValue};
+
 use crate::checks::{run_case, Mismatch};
 use crate::gen::{CaseSpec, CheckKind};
-use crate::json;
 
 /// Configuration of one fuzz campaign.
 #[derive(Debug, Clone)]
@@ -132,7 +134,7 @@ pub fn shrink_case(spec: &CaseSpec) -> CaseSpec {
 pub fn dump_case(dir: &Path, spec: &CaseSpec, mismatch: &Mismatch) -> PathBuf {
     std::fs::create_dir_all(dir).expect("create dump dir");
     let path = dir.join(format!("{}_{:016x}.json", spec.check.name(), spec.seed));
-    std::fs::write(&path, json::write_case(spec, &mismatch.detail)).expect("write case file");
+    std::fs::write(&path, write_case(spec, &mismatch.detail)).expect("write case file");
     path
 }
 
@@ -144,7 +146,72 @@ pub fn dump_case(dir: &Path, spec: &CaseSpec, mismatch: &Mismatch) -> PathBuf {
 pub fn load_case(path: &Path) -> Result<CaseSpec, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    json::parse_case(&text).map_err(|e| format!("parse {}: {e}", path.display()))
+    parse_case(&text).map_err(|e| format!("parse {}: {e}", path.display()))
+}
+
+/// Serializes a spec (plus a free-form note) as one JSON object. A seed
+/// at or above 2^53 is written as a decimal string: as a JSON number it
+/// would round to a neighbouring seed.
+pub fn write_case(spec: &CaseSpec, note: &str) -> String {
+    let mut o = JsonObject::new();
+    o.field_str("check", spec.check.name());
+    o.field_u64_exact("seed", spec.seed);
+    o.field_u64("width", spec.width.into());
+    o.field_u64("height", spec.height.into());
+    o.field_f32("tracks", spec.tracks);
+    o.field_u64("num_nets", spec.num_nets as u64);
+    o.field_u64("max_pins", spec.max_pins as u64);
+    o.field_u64("num_layers", spec.num_layers.into());
+    o.field_raw("hotspot", if spec.hotspot { "true" } else { "false" });
+    o.field_raw(
+        "pin_density",
+        if spec.pin_density { "true" } else { "false" },
+    );
+    o.field_u64("ops", spec.ops as u64);
+    o.field_str("note", note);
+    o.finish() + "\n"
+}
+
+/// Parses a case file back into a [`CaseSpec`] (the `note` field is
+/// ignored).
+///
+/// # Errors
+///
+/// Returns a description of the first syntax or schema problem.
+pub fn parse_case(text: &str) -> Result<CaseSpec, String> {
+    let v = parse_json(text).map_err(|e| e.to_string())?;
+    let field = |key: &str| v.get(key).ok_or_else(|| format!("missing field {key:?}"));
+    let uint = |key: &str| -> Result<u64, String> {
+        field(key)?
+            .as_u64_exact()
+            .ok_or_else(|| format!("field {key:?} is not a non-negative integer"))
+    };
+    let small = |key: &str| -> Result<u32, String> {
+        u32::try_from(uint(key)?).map_err(|_| format!("field {key:?} is out of range"))
+    };
+    let boolean = |key: &str| match field(key)? {
+        JsonValue::Bool(b) => Ok(*b),
+        other => Err(format!("field {key:?} is not a bool: {other:?}")),
+    };
+    let check = field("check")?
+        .as_str()
+        .and_then(CheckKind::from_name)
+        .ok_or_else(|| format!("unknown check {:?}", v.get("check")))?;
+    Ok(CaseSpec {
+        check,
+        seed: uint("seed")?,
+        width: small("width")?,
+        height: small("height")?,
+        tracks: field("tracks")?
+            .as_f64()
+            .ok_or("field \"tracks\" is not a number")? as f32,
+        num_nets: small("num_nets")? as usize,
+        max_pins: small("max_pins")? as usize,
+        num_layers: small("num_layers")?,
+        hotspot: boolean("hotspot")?,
+        pin_density: boolean("pin_density")?,
+        ops: small("ops")? as usize,
+    })
 }
 
 #[cfg(test)]
@@ -159,6 +226,26 @@ mod tests {
                 assert!(seen.insert(case_seed(42, check, i)));
             }
         }
+    }
+
+    #[test]
+    fn specs_round_trip_through_json() {
+        for kind in CheckKind::ALL {
+            for seed in [0u64, 17, 123_456_789, (1 << 53) - 1, 1 << 53, u64::MAX] {
+                let spec = CaseSpec::sample(kind, seed);
+                let text = write_case(&spec, "mismatch: details \"quoted\"\nsecond line");
+                let back = parse_case(&text).expect("own output parses");
+                assert_eq!(back, spec);
+            }
+        }
+    }
+
+    #[test]
+    fn parser_rejects_garbage() {
+        assert!(parse_case("").is_err());
+        assert!(parse_case("{").is_err());
+        assert!(parse_case("{\"check\": \"nope\"}").is_err());
+        assert!(parse_case("{\"seed\": []}").is_err());
     }
 
     #[test]

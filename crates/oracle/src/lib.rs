@@ -28,7 +28,6 @@ pub mod brute;
 pub mod checks;
 pub mod fuzz;
 pub mod gen;
-pub mod json;
 pub mod reference;
 
 pub use checks::{run_case, Mismatch, EXEC_LOCK};

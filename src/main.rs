@@ -45,6 +45,8 @@ use dgr::obs::ledger::{self, LedgerRecord, LEDGER_VERSION};
 use dgr::obs::{render_report, ObsServer, Profiler, ProfilerConfig, ReportInputs};
 use dgr::obs::{SnapshotSink, TelemetrySink};
 use dgr::post::{assign_layers, refine, AssignConfig, RefineConfig, RouteGuide};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -426,7 +428,7 @@ fn append_ledger(args: &[String], outcome: &RunOutcome<'_>) {
     let mut train_ms = 0.0f64;
     for t in dgr::obs::span_totals() {
         let ms = t.total.as_secs_f64() * 1e3;
-        if t.name == "train" || t.name == "train_batched" {
+        if t.name == "train" {
             train_ms += ms;
         }
         phases.insert(t.name.to_string(), ms);
@@ -617,14 +619,13 @@ fn cmd_route(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// `dgr train`: batched multi-seed training — one tape evaluates
-/// `--batch N` seeds at once (seed, seed+1, …), each reproducing its
-/// standalone trajectory bit for bit; the best instance by final loss is
-/// extracted into the reported solution.
+/// `dgr train`: multi-seed training — `--batch N` trains seeds seed,
+/// seed+1, … one after another, each exactly its standalone run; the best
+/// run by final loss is extracted into the reported solution.
 fn cmd_train(args: &[String]) -> CliResult {
     use dgr::core::{
-        build_cost_model_batched, extract_solution_instance, train_batched_with_hooks,
-        SnapshotProbe, TrainHooks,
+        build_cost_model, extract_solution, train_with_hooks, CostModel, SnapshotProbe, TrainHooks,
+        TrainReport,
     };
 
     let design = load_design(args)?;
@@ -658,20 +659,35 @@ fn cmd_train(args: &[String]) -> CliResult {
         .map(|n| dgr::rsmt::tree_candidates(&n.pins, &cfg.candidates))
         .collect::<Result<_, _>>()?;
     let forest = dgr::dag::build_forest(&design.grid, &pools, cfg.patterns)?;
-    let (mut model, mut rngs) = build_cost_model_batched(&design, &forest, &cfg, &seeds);
-    let mut hooks = TrainHooks {
-        telemetry: telemetry.as_mut(),
-        snap: snap_sink.as_mut().map(|sink| SnapshotProbe {
-            sink,
-            design: &design,
-            every: snap_every,
-        }),
-        progress: (!args.iter().any(|a| a == "--quiet")).then(ProgressConfig::default),
-        iter_offset: 0,
-        skip_rss: false,
-        cancel: None,
-    };
-    let reports = train_batched_with_hooks(&mut model, &cfg, &mut rngs, &mut hooks);
+    let progress = (!args.iter().any(|a| a == "--quiet")).then(ProgressConfig::default);
+    let mut reports: Vec<TrainReport> = Vec::with_capacity(batch);
+    let mut best: Option<(usize, CostModel)> = None;
+    for (lane, &seed) in seeds.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut model = build_cost_model(&design, &forest, &cfg, &mut rng);
+        let mut hooks = TrainHooks {
+            telemetry: telemetry.as_mut(),
+            snap: snap_sink.as_mut().map(|sink| SnapshotProbe {
+                sink,
+                design: &design,
+                every: snap_every,
+            }),
+            progress,
+            lane: Some(lane as u64),
+            ..TrainHooks::default()
+        };
+        let report = train_with_hooks(&mut model, &cfg, &mut rng, &mut hooks);
+        // the first strictly lower final loss wins; only the best model
+        // is kept for extraction
+        if best
+            .as_ref()
+            .is_none_or(|(b, _)| report.final_loss < reports[*b].final_loss)
+        {
+            best = Some((lane, model));
+        }
+        reports.push(report);
+    }
+    let (best, mut model) = best.expect("batch is at least 1");
 
     println!(
         "trained {} instance(s) of {} nets in {:.2?} ({} iterations each)",
@@ -680,17 +696,13 @@ fn cmd_train(args: &[String]) -> CliResult {
         t0.elapsed(),
         cfg.iterations
     );
-    let mut best = 0usize;
-    for (b, report) in reports.iter().enumerate() {
+    for (seed, report) in seeds.iter().zip(&reports) {
         println!(
             "  seed {:>4}  final loss {:>12.4}  final temperature {:.4}",
-            seeds[b], report.final_loss, report.final_temperature
+            seed, report.final_loss, report.final_temperature
         );
-        if report.final_loss < reports[best].final_loss {
-            best = b;
-        }
     }
-    let solution = extract_solution_instance(&design, &forest, &mut model, &cfg, best)?;
+    let solution = extract_solution(&design, &forest, &mut model, &cfg)?;
     let elapsed = t0.elapsed();
     let m = &solution.metrics;
     println!("best: seed {} (instance {best})", seeds[best]);

@@ -1,84 +1,96 @@
-//! End-to-end batched-training equivalence through the public facade.
-//!
-//! A batch of N instances sharing one tape must be a pure stacking of N
-//! independent runs: identical seeds give bit-identical trajectories in
-//! every batch lane, and each lane reproduces the standalone
-//! single-instance run — losses, learned logits, and the extracted
-//! routes.
+//! `dgr train --batch N` end to end: the batch trains seeds seed, seed+1,
+//! … one after another, so every per-seed line it prints must equal the
+//! line a standalone `dgr train --seed` run prints, and the extracted
+//! best solution must be that seed's standalone solution.
 
-use dgr::core::{
-    build_cost_model, build_cost_model_batched, extract_solution, extract_solution_instance, train,
-    train_batched, DgrConfig,
-};
-use dgr_oracle::{case_rng, gen_design, CaseSpec, CheckKind, EXEC_LOCK};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use std::path::Path;
+use std::process::Command;
 
-fn test_design() -> (dgr::grid::Design, DgrConfig) {
-    let spec = CaseSpec {
-        num_layers: 3,
-        ..CaseSpec::sample(CheckKind::PathCost, 17)
-    };
-    let design = gen_design(&spec, &mut case_rng(&spec));
-    let cfg = DgrConfig {
-        iterations: 30,
-        seed: 17,
-        ..DgrConfig::default()
-    };
-    (design, cfg)
+use dgr::io::{IspdLikeConfig, IspdLikeGenerator};
+
+fn train(design: &Path, extra: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_dgr"))
+        .env("DGR_LEDGER", "off") // keep CLI tests off the real ledger
+        .args([
+            "train",
+            design.to_str().unwrap(),
+            "--iterations",
+            "30",
+            "--quiet",
+        ])
+        .args(extra)
+        .output()
+        .expect("spawn dgr");
+    assert!(
+        out.status.success(),
+        "dgr train {extra:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
 }
 
-fn forest_for(design: &dgr::grid::Design, cfg: &DgrConfig) -> dgr::dag::DagForest {
-    let pools: Vec<_> = design
-        .nets
-        .iter()
-        .map(|n| dgr::rsmt::tree_candidates(&n.pins, &cfg.candidates).expect("pins"))
-        .collect();
-    dgr::dag::build_forest(&design.grid, &pools, cfg.patterns).expect("in grid")
+/// The `  seed …  final loss …` lines of a `dgr train` run.
+fn seed_lines(stdout: &str) -> Vec<&str> {
+    stdout
+        .lines()
+        .filter(|l| l.trim_start().starts_with("seed "))
+        .collect()
+}
+
+/// Everything after the `best:` header: the extracted solution's metrics.
+fn best_metrics(stdout: &str) -> Vec<&str> {
+    stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("best:"))
+        .skip(1)
+        .collect()
 }
 
 #[test]
-fn batch_of_identical_seeds_reproduces_single_run_bitwise() {
-    let _guard = EXEC_LOCK.lock().unwrap();
-    let (design, cfg) = test_design();
-    let forest = forest_for(&design, &cfg);
+fn train_batch_reports_each_seed_as_its_standalone_run() {
+    let dir = std::env::temp_dir().join("dgr_batch_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let design_path = dir.join("design.txt");
+    let design = IspdLikeGenerator::new(IspdLikeConfig {
+        width: 24,
+        height: 24,
+        num_nets: 60,
+        num_layers: 3,
+        seed: 17,
+        ..IspdLikeConfig::default()
+    })
+    .generate()
+    .expect("valid config");
+    std::fs::write(&design_path, dgr::io::write_design(&design)).unwrap();
 
-    // Standalone single-instance run.
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut single = build_cost_model(&design, &forest, &cfg, &mut rng);
-    let single_report = train(&mut single, &cfg, &mut rng);
-    let single_sol = extract_solution(&design, &forest, &mut single, &cfg).expect("extract");
+    let batch = train(&design_path, &["--batch", "2", "--seed", "17"]);
+    let solo: Vec<String> = ["17", "18"]
+        .iter()
+        .map(|s| train(&design_path, &["--seed", s]))
+        .collect();
 
-    // Three batch lanes, all using the standalone seed.
-    let seeds = [cfg.seed; 3];
-    let (mut model, mut rngs) = build_cost_model_batched(&design, &forest, &cfg, &seeds);
-    let reports = train_batched(&mut model, &cfg, &mut rngs);
-    assert_eq!(reports.len(), seeds.len());
-
-    for (b, report) in reports.iter().enumerate() {
+    let lanes = seed_lines(&batch);
+    assert_eq!(lanes.len(), 2, "one line per seed:\n{batch}");
+    for (lane, single) in lanes.iter().zip(&solo) {
         assert_eq!(
-            report.final_loss, single_report.final_loss,
-            "lane {b}: final loss diverged from standalone run"
-        );
-        assert_eq!(
-            report.loss_history, single_report.loss_history,
-            "lane {b}: loss trajectory diverged from standalone run"
-        );
-        assert_eq!(
-            model.graph.value_at(model.w_tree, b),
-            single.graph.value_at(single.w_tree, 0),
-            "lane {b}: learned tree logits diverged"
-        );
-        assert_eq!(
-            model.graph.value_at(model.w_path, b),
-            single.graph.value_at(single.w_path, 0),
-            "lane {b}: learned path logits diverged"
-        );
-        let sol =
-            extract_solution_instance(&design, &forest, &mut model, &cfg, b).expect("extract lane");
-        assert_eq!(
-            sol.routes, single_sol.routes,
-            "lane {b}: extracted routes diverged"
+            vec![*lane],
+            seed_lines(single),
+            "batch lane diverged from its standalone run"
         );
     }
+
+    let best = batch
+        .lines()
+        .find(|l| l.starts_with("best:"))
+        .expect("best line");
+    let best_solo = if best.starts_with("best: seed 17 ") {
+        &solo[0]
+    } else {
+        &solo[1]
+    };
+    assert_eq!(
+        best_metrics(&batch),
+        best_metrics(best_solo),
+        "best lane's solution differs from the standalone run ({best})"
+    );
 }

@@ -106,6 +106,35 @@ fn malformed_requests_get_structured_errors_and_the_listener_survives() {
     // wrong method on a job route
     assert_structured_error(&request(addr, "PATCH", "/jobs/1", Some("{}")), 405);
     assert_structured_error(&request(addr, "PUT", "/jobs", Some("{}")), 405);
+    // integers f64 cannot hold exactly would be silently rounded
+    for key in ["seed", "iterations", "deadline_ms", "max_stall_iters"] {
+        let body = format!(r#"{{"design_text":"x","{key}":9007199254740993}}"#);
+        let resp = post_json(addr, "/jobs", &body);
+        assert_structured_error(&resp, 400);
+        assert!(
+            resp.body.contains(key),
+            "error must name `{key}`: {}",
+            resp.body
+        );
+    }
+
+    // a NaN capacity fails the job with an error naming the line, instead
+    // of training to a NaN loss
+    let nan_design: String = tiny_design_text(32)
+        .lines()
+        .map(|l| match l.strip_prefix("tracks ") {
+            Some(vals) => format!("tracks NaN {}\n", vals.split_once(' ').unwrap().1),
+            None => format!("{l}\n"),
+        })
+        .collect();
+    let id = submit_job(addr, &spec(&nan_design, "nan", 5, 0));
+    let job = wait_terminal(addr, id, Duration::from_secs(120));
+    assert_eq!(job.str("state"), Some("failed"), "{job:?}");
+    let error = job.str("error").expect("failed job carries an error");
+    assert!(
+        error.contains("line 3") && error.contains("not a finite number"),
+        "{error}"
+    );
 
     // after all that abuse the daemon still serves
     let resp = get(addr, "/jobs");

@@ -57,14 +57,6 @@ fn route_output_is_byte_identical_across_thread_counts() {
         }
     }
 
-    // Cross-thread-count invariance holds in any kernel mode, but the
-    // committed goldens are chunked-mode bytes; skip the file comparison
-    // when the scalar fallback is forced.
-    if dgr::autodiff::kernel_mode() != dgr::autodiff::KernelMode::Chunked {
-        eprintln!("thread_determinism: scalar kernel mode — skipping golden-file comparison");
-        return;
-    }
-
     // The committed goldens were generated at 4 threads; matching them
     // proves 1/2/8 threads agree with 4 as well.
     for (i, seed) in GOLDEN_SEEDS.iter().enumerate() {
