@@ -87,6 +87,42 @@ fn bench_maze(h: &mut Harness) {
     });
 }
 
+/// Shaped like refine's escalations: a full-grid search on the 105×101
+/// `ispd19_7m` grid whose terminals are separated by fully overflowed
+/// bands (cost 1001) over a field of partly overflowed edges (1 + 1000·m),
+/// so no cheap path exists and nearly every state is expanded.
+fn bench_maze_congested(h: &mut Harness) {
+    let grid = GcellGrid::new(105, 101).unwrap();
+    let mut rng = StdRng::seed_from_u64(5);
+    let cost: Vec<f32> = grid
+        .edge_ids()
+        .map(|e| {
+            let (a, b) = grid.edge_endpoints(e);
+            if a.y != b.y && a.y % 25 == 12 {
+                1001.0
+            } else if rng.gen_range(0..10) < 3 {
+                1.0 + 1000.0 * rng.gen_range(0.0f32..1.0)
+            } else {
+                1.0
+            }
+        })
+        .collect();
+    let cfg = dgr_baseline::maze::MazeConfig {
+        bounds: None,
+        turn_cost: 1.0,
+    };
+    h.bench("maze_route_congested", || {
+        dgr_baseline::maze_route(
+            &grid,
+            Point::new(3, 2),
+            Point::new(100, 97),
+            |e| cost[e.index()],
+            &cfg,
+        )
+        .expect("connected");
+    });
+}
+
 fn main() {
     let mut h = Harness::from_args();
     bench_segmented_softmax(&mut h);
@@ -94,4 +130,5 @@ fn main() {
     bench_rsmt(&mut h);
     bench_forest_build(&mut h);
     bench_maze(&mut h);
+    bench_maze_congested(&mut h);
 }

@@ -103,9 +103,7 @@ impl DemandMap {
         a: Point,
         b: Point,
     ) -> Result<(), crate::GridError> {
-        let mut edges = Vec::new();
-        grid.push_segment_edges(a, b, &mut edges)?;
-        for e in edges {
+        for e in grid.segment_edges(a, b)? {
             self.wire[e.index()] += 1.0;
         }
         Ok(())
@@ -123,9 +121,7 @@ impl DemandMap {
         a: Point,
         b: Point,
     ) -> Result<(), crate::GridError> {
-        let mut edges = Vec::new();
-        grid.push_segment_edges(a, b, &mut edges)?;
-        for e in edges {
+        for e in grid.segment_edges(a, b)? {
             self.wire[e.index()] -= 1.0;
         }
         Ok(())

@@ -235,6 +235,7 @@ impl GcellGrid {
     ///
     /// Same contract as [`Self::edges_on_segment`] but reuses the caller's
     /// buffer — the hot path when flattening thousands of path candidates.
+    /// Nothing is appended on error.
     ///
     /// # Errors
     ///
@@ -245,21 +246,42 @@ impl GcellGrid {
         b: Point,
         out: &mut Vec<EdgeId>,
     ) -> Result<(), GridError> {
-        if a.y == b.y {
+        out.extend(self.segment_edges(a, b)?);
+        Ok(())
+    }
+
+    /// The edges of the straight segment `a`..`b`, in increasing id order,
+    /// as an iterator that allocates nothing. The whole segment is
+    /// validated up front.
+    ///
+    /// # Errors
+    ///
+    /// See [`Self::edges_on_segment`].
+    pub fn segment_edges(
+        &self,
+        a: Point,
+        b: Point,
+    ) -> Result<impl Iterator<Item = EdgeId>, GridError> {
+        // (first id, id stride, edge count); the first and last edges are
+        // in the grid exactly when every edge between them is
+        let (first, stride, count) = if a.y == b.y {
             let (x0, x1) = (a.x.min(b.x), a.x.max(b.x));
-            for x in x0..x1 {
-                out.push(self.h_edge(x, a.y)?);
+            if x0 == x1 {
+                (0, 0, 0)
+            } else {
+                let first = self.h_edge(x0, a.y)?;
+                self.h_edge(x1 - 1, a.y)?;
+                (first.0, 1, (x1 - x0) as u32)
             }
-            Ok(())
         } else if a.x == b.x {
             let (y0, y1) = (a.y.min(b.y), a.y.max(b.y));
-            for y in y0..y1 {
-                out.push(self.v_edge(a.x, y)?);
-            }
-            Ok(())
+            let first = self.v_edge(a.x, y0)?;
+            self.v_edge(a.x, y1 - 1)?;
+            (first.0, self.width, (y1 - y0) as u32)
         } else {
-            Err(GridError::NotAligned { a, b })
-        }
+            return Err(GridError::NotAligned { a, b });
+        };
+        Ok((0..count).map(move |i| EdgeId::new(first + i * stride)))
     }
 
     /// Up to four neighbouring g-cells of `p`, clipped to the grid.
@@ -379,6 +401,41 @@ mod tests {
             g.edges_on_segment(Point::new(0, 0), Point::new(2, 2)),
             Err(GridError::NotAligned { .. })
         ));
+    }
+
+    #[test]
+    fn segment_edges_match_unit_steps() {
+        let g = GcellGrid::new(6, 5).unwrap();
+        for (a, b) in [
+            (Point::new(4, 3), Point::new(1, 3)),
+            (Point::new(2, 0), Point::new(2, 4)),
+            (Point::new(5, 4), Point::new(5, 1)),
+        ] {
+            let mut want: Vec<EdgeId> = Vec::new();
+            let (mut p, step) = (a, Point::new((b.x - a.x).signum(), (b.y - a.y).signum()));
+            while p != b {
+                let q = Point::new(p.x + step.x, p.y + step.y);
+                want.push(g.edge_between(p, q).unwrap());
+                p = q;
+            }
+            want.sort();
+            let got: Vec<EdgeId> = g.segment_edges(a, b).unwrap().collect();
+            assert_eq!(got, want, "{a:?}..{b:?}");
+        }
+    }
+
+    #[test]
+    fn segment_leaving_the_grid_appends_nothing() {
+        let g = GcellGrid::new(4, 4).unwrap();
+        let mut out = Vec::new();
+        for (a, b) in [
+            (Point::new(1, 2), Point::new(6, 2)),
+            (Point::new(-1, 0), Point::new(2, 0)),
+            (Point::new(3, 1), Point::new(3, 4)),
+        ] {
+            assert!(g.push_segment_edges(a, b, &mut out).is_err());
+        }
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -10,9 +10,14 @@
 //! |----------------|---------------------------------------|-----------------------------------------|
 //! | `rsmt`         | `dgr_rsmt::exact_steiner` (DP)        | MSTs over bounded Hanan subsets         |
 //! | `path_cost`    | the `dgr-core` expected-cost tape     | f64 discrete replay of every selection  |
-//! | `grad_check`   | `dgr-autodiff` backward (both modes)  | central differences of an f64 forward   |
+//! | `grad_check`   | `dgr-autodiff` backward               | central differences of an f64 forward   |
 //! | `demand_replay`| incremental `dgr_grid::DemandMap`     | from-scratch unit-step recount          |
 //! | `layer_assign` | the `dgr-post` per-net DP             | exhaustive (root × segment-layer) scan  |
+//!
+//! The maze engine (`dgr_grid::maze_route`) is checked in this crate's
+//! unit tests instead: against its previous implementation, kept
+//! verbatim as a test-only reference in [`reference`], and against an
+//! f64 Bellman–Ford over (cell, axis) states on tiny grids.
 //!
 //! Instances come from one seeded generator ([`gen`]) so every check —
 //! and every `#[test]` elsewhere in the workspace that wants a random

@@ -333,3 +333,320 @@ pub fn one_hot_logits(forest: &DagForest, sel: &Selection) -> (Vec<f32>, Vec<f32
     }
     (w_tree, w_path)
 }
+
+/// The maze engine exactly as it stood before `dgr_grid::maze` moved to
+/// generation-stamped scratch buffers and packed heap keys: fresh
+/// `dist`/`prev` vectors per call, `(f32, state)` heap entries ordered by
+/// `total_cmp`, and edge ids through `GcellGrid::edge_between`. Kept
+/// verbatim so the optimised engine can be checked for identical output.
+#[cfg(test)]
+pub(crate) mod maze {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use dgr_grid::maze::{compress_corners, MazeConfig};
+    use dgr_grid::{EdgeId, GcellGrid, Point, Rect};
+
+    #[derive(PartialEq)]
+    struct HeapKey(f32);
+
+    impl Eq for HeapKey {}
+    impl PartialOrd for HeapKey {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for HeapKey {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.total_cmp(&other.0)
+        }
+    }
+
+    /// Reference single-pair search: same contract as `dgr_grid::maze_route`.
+    pub(crate) fn reference_maze_route<F>(
+        grid: &GcellGrid,
+        from: Point,
+        to: Point,
+        edge_cost: F,
+        cfg: &MazeConfig,
+    ) -> Option<Vec<Point>>
+    where
+        F: Fn(EdgeId) -> f32,
+    {
+        if !grid.contains(from) || !grid.contains(to) {
+            return None;
+        }
+        if from == to {
+            return Some(vec![from]);
+        }
+        let bounds = {
+            let b = cfg
+                .bounds
+                .unwrap_or_else(|| grid.bounds())
+                .inflate_clamped(0, grid.bounds());
+            // make sure both terminals are inside
+            Rect::new(
+                Point::new(b.lo.x.min(from.x).min(to.x), b.lo.y.min(from.y).min(to.y)),
+                Point::new(b.hi.x.max(from.x).max(to.x), b.hi.y.max(from.y).max(to.y)),
+            )
+        };
+        let w = bounds.width() as i32;
+        let h = bounds.height() as i32;
+        let n = (w * h) as usize;
+        let local =
+            |p: Point| -> usize { ((p.y - bounds.lo.y) * w + (p.x - bounds.lo.x)) as usize };
+
+        // state = local cell × incoming axis (0 horizontal, 1 vertical)
+        let mut dist = vec![f32::INFINITY; n * 2];
+        let mut prev: Vec<u32> = vec![u32::MAX; n * 2];
+        let mut heap = BinaryHeap::new();
+        for axis in 0..2 {
+            dist[local(from) * 2 + axis] = 0.0;
+            heap.push(Reverse((HeapKey(0.0), (local(from) * 2 + axis) as u32)));
+        }
+
+        const DIRS: [(i32, i32, usize); 4] = [(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, 1)];
+        let mut goal_state = None;
+        while let Some(Reverse((HeapKey(d), state))) = heap.pop() {
+            let state = state as usize;
+            if d > dist[state] {
+                continue;
+            }
+            let cell = state / 2;
+            let axis = state % 2;
+            let p = Point::new(
+                bounds.lo.x + (cell as i32 % w),
+                bounds.lo.y + (cell as i32 / w),
+            );
+            if p == to {
+                goal_state = Some(state);
+                break;
+            }
+            for &(dx, dy, new_axis) in &DIRS {
+                let q = Point::new(p.x + dx, p.y + dy);
+                if !bounds.contains(q) {
+                    continue;
+                }
+                let e = grid.edge_between(p, q).expect("neighbor in grid");
+                let step = edge_cost(e);
+                if !step.is_finite() {
+                    continue;
+                }
+                let turn = if axis != new_axis && d > 0.0 {
+                    cfg.turn_cost
+                } else {
+                    0.0
+                };
+                let nd = d + step + turn;
+                let ns = local(q) * 2 + new_axis;
+                if nd < dist[ns] {
+                    dist[ns] = nd;
+                    prev[ns] = state as u32;
+                    heap.push(Reverse((HeapKey(nd), ns as u32)));
+                }
+            }
+        }
+
+        let mut state = goal_state?;
+        let mut cells = vec![to];
+        while prev[state] != u32::MAX {
+            state = prev[state] as usize;
+            let cell = state / 2;
+            let p = Point::new(
+                bounds.lo.x + (cell as i32 % w),
+                bounds.lo.y + (cell as i32 / w),
+            );
+            cells.push(p);
+        }
+        cells.reverse();
+        debug_assert_eq!(cells[0], from);
+        Some(compress_corners(&cells))
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use dgr_grid::maze_route;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// A seeded edge-cost field: ties at 1.0, fractional costs,
+        /// overflow-penalty-scale costs and blocked edges.
+        fn cost_field(grid: &GcellGrid, rng: &mut StdRng) -> Vec<f32> {
+            (0..grid.num_edges())
+                .map(|_| match rng.gen_range(0..10u32) {
+                    0..=3 => 1.0,
+                    4 | 5 => rng.gen_range(0.05f32..1.0),
+                    6 | 7 => 1.0 + 1000.0 * rng.gen_range(0.0f32..1.0),
+                    8 => 1000.0 * rng.gen_range(1..4u32) as f32,
+                    _ => f32::INFINITY,
+                })
+                .collect()
+        }
+
+        fn rand_point(grid: &GcellGrid, rng: &mut StdRng) -> Point {
+            Point::new(
+                rng.gen_range(0..grid.width() as i32),
+                rng.gen_range(0..grid.height() as i32),
+            )
+        }
+
+        /// No window, a window grown around the terminals, or an arbitrary
+        /// in-grid window that need not contain them.
+        fn window(grid: &GcellGrid, a: Point, b: Point, rng: &mut StdRng) -> Option<Rect> {
+            match rng.gen_range(0..3u32) {
+                0 => None,
+                1 => Some(
+                    Rect::bounding(&[a, b]).inflate_clamped(rng.gen_range(0..4), grid.bounds()),
+                ),
+                _ => Some(Rect::bounding(&[
+                    rand_point(grid, rng),
+                    rand_point(grid, rng),
+                ])),
+            }
+        }
+
+        /// The search rectangle `maze_route` documents: the window clamped to
+        /// the grid, grown to contain both terminals.
+        fn search_rect(grid: &GcellGrid, a: Point, b: Point, window: Option<Rect>) -> Rect {
+            let r = window
+                .unwrap_or_else(|| grid.bounds())
+                .inflate_clamped(0, grid.bounds());
+            Rect::bounding(&[r.lo, r.hi, a, b])
+        }
+
+        /// Cheapest cost over (cell, incoming axis) states by f64
+        /// Bellman–Ford, charging `turn` on every axis change away from `a`.
+        fn bellman_ford(
+            grid: &GcellGrid,
+            cost: &[f32],
+            a: Point,
+            b: Point,
+            rect: Rect,
+            turn: f64,
+        ) -> Option<f64> {
+            let cells: Vec<Point> = rect.cells().collect();
+            let index = |p: Point| cells.iter().position(|&c| c == p);
+            let mut dist = vec![f64::INFINITY; cells.len() * 2];
+            let start = index(a).expect("terminal in rect");
+            dist[start * 2] = 0.0;
+            dist[start * 2 + 1] = 0.0;
+            for _ in 0..dist.len() {
+                let mut changed = false;
+                for (i, &p) in cells.iter().enumerate() {
+                    for axis in 0..2 {
+                        let d = dist[i * 2 + axis];
+                        if d.is_infinite() {
+                            continue;
+                        }
+                        for (q, new_axis) in [
+                            (Point::new(p.x + 1, p.y), 0),
+                            (Point::new(p.x - 1, p.y), 0),
+                            (Point::new(p.x, p.y + 1), 1),
+                            (Point::new(p.x, p.y - 1), 1),
+                        ] {
+                            let Some(j) = index(q) else { continue };
+                            let e = if new_axis == 0 {
+                                grid.h_edge(p.x.min(q.x), p.y)
+                            } else {
+                                grid.v_edge(p.x, p.y.min(q.y))
+                            }
+                            .expect("in grid");
+                            let c = f64::from(cost[e.index()]);
+                            if !c.is_finite() {
+                                continue;
+                            }
+                            let t = if axis != new_axis && p != a {
+                                turn
+                            } else {
+                                0.0
+                            };
+                            if d + c + t < dist[j * 2 + new_axis] {
+                                dist[j * 2 + new_axis] = d + c + t;
+                                changed = true;
+                            }
+                        }
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+            let goal = index(b).expect("terminal in rect");
+            let best = dist[goal * 2].min(dist[goal * 2 + 1]);
+            best.is_finite().then_some(best)
+        }
+
+        /// f64 cost of a corner polyline: every unit edge plus one turn
+        /// charge per interior corner.
+        fn polyline_cost(grid: &GcellGrid, cost: &[f32], corners: &[Point], turn: f64) -> f64 {
+            let wire: f64 = corners
+                .windows(2)
+                .flat_map(|w| grid.edges_on_segment(w[0], w[1]).expect("in grid"))
+                .map(|e| f64::from(cost[e.index()]))
+                .sum();
+            wire + turn * corners.len().saturating_sub(2) as f64
+        }
+
+        #[test]
+        fn maze_engine_matches_reference_and_bellman_ford() {
+            let mut rng = StdRng::seed_from_u64(0x3A2E_0001);
+            let mut bf_checked = 0;
+            for case in 0..600 {
+                // alternate large and tiny instances on one thread so a
+                // stale stamp or an undersized scratch table would surface
+                let side = |rng: &mut StdRng| {
+                    if case % 2 == 0 {
+                        rng.gen_range(12..=24u32)
+                    } else {
+                        rng.gen_range(2..=6u32)
+                    }
+                };
+                let grid = GcellGrid::new(side(&mut rng), side(&mut rng)).expect("≥ 2");
+                let cost = cost_field(&grid, &mut rng);
+                for _ in 0..3 {
+                    let a = rand_point(&grid, &mut rng);
+                    let b = rand_point(&grid, &mut rng);
+                    let turn_cost = match rng.gen_range(0..3u32) {
+                        0 => 0.0,
+                        1 => rng.gen_range(1..=3u32) as f32,
+                        _ => rng.gen_range(0.0f32..3.0),
+                    };
+                    let cfg = MazeConfig {
+                        bounds: window(&grid, a, b, &mut rng),
+                        turn_cost,
+                    };
+                    let edge_cost = |e: EdgeId| cost[e.index()];
+                    let got = maze_route(&grid, a, b, edge_cost, &cfg);
+                    let want = reference_maze_route(&grid, a, b, edge_cost, &cfg);
+                    assert_eq!(got, want, "case {case}: {a:?}→{b:?} {cfg:?} on {grid:?}");
+
+                    if grid.width() > 6 || grid.height() > 6 {
+                        continue;
+                    }
+                    bf_checked += 1;
+                    let turn = f64::from(turn_cost);
+                    let rect = search_rect(&grid, a, b, cfg.bounds);
+                    let best = bellman_ford(&grid, &cost, a, b, rect, turn);
+                    match (&got, best) {
+                        (None, None) => {}
+                        (Some(path), Some(best)) => {
+                            assert_eq!((path[0], path[path.len() - 1]), (a, b));
+                            assert!(path.iter().all(|&p| rect.contains(p)));
+                            let c = polyline_cost(&grid, &cost, path, turn);
+                            assert!(
+                                (c - best).abs() <= crate::tol::COST_REL * best.max(1.0),
+                                "case {case}: path cost {c} vs Bellman–Ford {best}"
+                            );
+                        }
+                        _ => panic!("case {case}: engine {got:?} vs Bellman–Ford {best:?}"),
+                    }
+                }
+            }
+            assert!(
+                bf_checked > 500,
+                "only {bf_checked} Bellman–Ford checks ran"
+            );
+        }
+    }
+}

@@ -8,7 +8,7 @@
 use dgr_baseline::cost::overflow_marginal;
 use dgr_baseline::maze::{maze_route, MazeConfig};
 use dgr_core::{RoutePath, RoutingSolution};
-use dgr_grid::{Design, Rect};
+use dgr_grid::{DemandMap, Design, EdgeId, GcellGrid, Point, Rect};
 
 use crate::PostError;
 
@@ -49,8 +49,13 @@ pub struct RefineReport {
     pub overflowed_after: usize,
 }
 
-/// Reroutes nets crossing overflowed edges, in place. Only accepts a
-/// rerouted net if it does not worsen the solution's overflow.
+/// Reroutes nets crossing overflowed edges, in place.
+///
+/// Each round rips up every net that crosses an overflowed edge and maze
+/// routes its sub-nets one by one under `1 + overflow_penalty ·
+/// overflow_marginal` edge costs. Every path the maze search finds is
+/// committed, even one that adds overflow; a net goes back to its old
+/// paths only when some sub-net finds no path at all.
 ///
 /// # Errors
 ///
@@ -67,6 +72,17 @@ pub fn refine(
     let overflowed_before = solution.metrics.overflow.overflowed_edges;
     let mut nets_rerouted = 0usize;
     let mut rounds = 0usize;
+    // the maze cost of every edge, refreshed wherever demand changes
+    let cost_of = |demand: &DemandMap, e: EdgeId| {
+        1.0 + cfg.overflow_penalty * overflow_marginal(grid, cap, demand, e)
+    };
+    let mut cost: Vec<f32> = grid
+        .edge_ids()
+        .map(|e| cost_of(&solution.demand, e))
+        .collect();
+    let refresh = |cost: &mut [f32], demand: &DemandMap, corners: &[Point]| {
+        for_each_touched_edge(grid, corners, |e| cost[e.index()] = cost_of(demand, e))
+    };
 
     for _ in 0..cfg.rounds {
         let victims: Vec<usize> = {
@@ -78,9 +94,8 @@ pub fn refine(
                 .filter(|&n| {
                     solution.routes[n].paths.iter().any(|p| {
                         p.corners.windows(2).any(|w| {
-                            let mut edges = Vec::new();
-                            grid.push_segment_edges(w[0], w[1], &mut edges)
-                                .map(|()| edges.iter().any(|e| over[e.index()]))
+                            grid.segment_edges(w[0], w[1])
+                                .map(|mut edges| edges.any(|e| over[e.index()]))
                                 .unwrap_or(false)
                         })
                     })
@@ -93,17 +108,12 @@ pub fn refine(
         rounds += 1;
         for &n in &victims {
             // rip up net n
-            let old_paths = solution.routes[n].paths.clone();
+            let old_paths = std::mem::take(&mut solution.routes[n].paths);
             for path in &old_paths {
-                for w in path.corners.windows(2) {
-                    solution.demand.remove_segment(grid, w[0], w[1])?;
-                }
-                let k = path.corners.len();
-                if k > 2 {
-                    for c in &path.corners[1..k - 1] {
-                        solution.demand.remove_turn(grid, *c)?;
-                    }
-                }
+                remove_path(grid, &mut solution.demand, &path.corners)?;
+            }
+            for path in &old_paths {
+                refresh(&mut cost, &solution.demand, &path.corners)?;
             }
             // reroute each sub-net by maze under overflow penalty
             let mut new_paths = Vec::with_capacity(old_paths.len());
@@ -124,18 +134,15 @@ pub fn refine(
                     turn_cost: cfg.turn_cost,
                 };
                 let demand = &solution.demand;
-                let cost_fn =
-                    |e| 1.0 + cfg.overflow_penalty * overflow_marginal(grid, cap, demand, e);
+                let cost_fn = |e: EdgeId| cost[e.index()];
                 // windowed search, escalating to the full grid when the
-                // window cannot dodge the congestion
+                // window cannot dodge the congestion. The filter reads the
+                // exact marginal: `1 + 1000·m` rounds to 1 for tiny m
                 let windowed = maze_route(grid, a, b, cost_fn, &mcfg).filter(|corners| {
                     corners.windows(2).all(|w| {
-                        let mut edges = Vec::new();
-                        grid.push_segment_edges(w[0], w[1], &mut edges)
-                            .map(|()| {
-                                edges
-                                    .iter()
-                                    .all(|&e| overflow_marginal(grid, cap, demand, e) <= 0.0)
+                        grid.segment_edges(w[0], w[1])
+                            .map(|mut edges| {
+                                edges.all(|e| overflow_marginal(grid, cap, demand, e) <= 0.0)
                             })
                             .unwrap_or(false)
                     })
@@ -154,17 +161,9 @@ pub fn refine(
                 });
                 match escalated {
                     Some(corners) => {
-                        let p = RoutePath { corners };
-                        for w in p.corners.windows(2) {
-                            solution.demand.add_segment(grid, w[0], w[1])?;
-                        }
-                        let k = p.corners.len();
-                        if k > 2 {
-                            for c in &p.corners[1..k - 1] {
-                                solution.demand.add_turn(grid, *c)?;
-                            }
-                        }
-                        new_paths.push(p);
+                        add_path(grid, &mut solution.demand, &corners)?;
+                        refresh(&mut cost, &solution.demand, &corners)?;
+                        new_paths.push(RoutePath { corners });
                     }
                     None => {
                         ok = false;
@@ -178,29 +177,22 @@ pub fn refine(
             } else {
                 // roll back: remove whatever was committed, restore old
                 for p in &new_paths {
-                    for w in p.corners.windows(2) {
-                        solution.demand.remove_segment(grid, w[0], w[1])?;
-                    }
-                    let k = p.corners.len();
-                    if k > 2 {
-                        for c in &p.corners[1..k - 1] {
-                            solution.demand.remove_turn(grid, *c)?;
-                        }
-                    }
+                    remove_path(grid, &mut solution.demand, &p.corners)?;
                 }
-                for path in &old_paths {
-                    for w in path.corners.windows(2) {
-                        solution.demand.add_segment(grid, w[0], w[1])?;
-                    }
-                    let k = path.corners.len();
-                    if k > 2 {
-                        for c in &path.corners[1..k - 1] {
-                            solution.demand.add_turn(grid, *c)?;
-                        }
-                    }
+                for p in &old_paths {
+                    add_path(grid, &mut solution.demand, &p.corners)?;
                 }
+                for p in new_paths.iter().chain(&old_paths) {
+                    refresh(&mut cost, &solution.demand, &p.corners)?;
+                }
+                solution.routes[n].paths = old_paths;
             }
         }
+        debug_assert!(
+            grid.edge_ids()
+                .all(|e| cost[e.index()].to_bits() == cost_of(&solution.demand, e).to_bits()),
+            "refine cost cache diverged from a from-scratch recomputation"
+        );
     }
 
     solution.remeasure(design)?;
@@ -210,6 +202,59 @@ pub fn refine(
         overflowed_before,
         overflowed_after: solution.metrics.overflow.overflowed_edges,
     })
+}
+
+/// Adds one path's wire demand on every segment and its via pressure at
+/// every interior corner.
+fn add_path(grid: &GcellGrid, demand: &mut DemandMap, corners: &[Point]) -> Result<(), PostError> {
+    for w in corners.windows(2) {
+        demand.add_segment(grid, w[0], w[1])?;
+    }
+    for &c in interior(corners) {
+        demand.add_turn(grid, c)?;
+    }
+    Ok(())
+}
+
+/// Exact inverse of [`add_path`] (rip-up).
+fn remove_path(
+    grid: &GcellGrid,
+    demand: &mut DemandMap,
+    corners: &[Point],
+) -> Result<(), PostError> {
+    for w in corners.windows(2) {
+        demand.remove_segment(grid, w[0], w[1])?;
+    }
+    for &c in interior(corners) {
+        demand.remove_turn(grid, c)?;
+    }
+    Ok(())
+}
+
+/// Calls `f` on every edge whose Eq. (2) demand a path changes: the edges
+/// of its segments, plus the ≤ 4 edges incident to each interior corner
+/// (via pressure at a cell feeds every edge that ends there). Edges may
+/// repeat.
+fn for_each_touched_edge(
+    grid: &GcellGrid,
+    corners: &[Point],
+    mut f: impl FnMut(EdgeId),
+) -> Result<(), PostError> {
+    for w in corners.windows(2) {
+        grid.segment_edges(w[0], w[1])?.for_each(&mut f);
+    }
+    for &c in interior(corners) {
+        grid.incident_edges(c).for_each(&mut f);
+    }
+    Ok(())
+}
+
+/// The corners strictly between a path's endpoints.
+fn interior(corners: &[Point]) -> &[Point] {
+    match corners.len() {
+        0..=2 => &[],
+        k => &corners[1..k - 1],
+    }
 }
 
 #[cfg(test)]

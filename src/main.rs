@@ -8,7 +8,7 @@
 //!          [--snap out.snaps] [--snap-every N]
 //!          [--serve ADDR] [--profile out.folded] [--no-ledger]
 //!          [--progress N] [--quiet]
-//! dgr train <design.txt> [--batch N] ...        # batched multi-seed run
+//! dgr train <design.txt> [--batch N] ...        # multi-seed run, best kept
 //! dgr compare <design.txt> [--iterations N]     # DGR vs all baselines
 //! dgr compare --ledger                          # last two ledger runs
 //! dgr history [--limit N]                       # the persistent run ledger
@@ -107,7 +107,7 @@ fn print_usage() {
     println!("            [--routes out.txt] [--telemetry out.jsonl]");
     println!("            [--snap out.snaps] [--snap-every N] [--serve ADDR]");
     println!("            [--profile out.folded] [--no-ledger] [--quiet]");
-    println!("      train N seeds on one batched tape, report each, extract the best");
+    println!("      train N seeds one after another, report each, extract the best");
     println!("  dgr compare <design.txt> [--iterations N] [--trace out.json]");
     println!("      route with DGR and every baseline, print a comparison table");
     println!("  dgr compare --ledger");
