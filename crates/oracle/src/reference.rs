@@ -463,7 +463,6 @@ pub(crate) mod maze {
         Some(compress_corners(&cells))
     }
 
-    #[cfg(test)]
     mod tests {
         use super::*;
         use dgr_grid::maze_route;
